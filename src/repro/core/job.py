@@ -13,7 +13,8 @@ address:
   field construction order (canonical JSON, sorted keys, no ``hash()``
   or ``pickle`` involvement), and
 * any change to any input -- a single program byte, one ModelConfig
-  field, a different window length -- changes it.
+  field, a different window length -- changes it, and so does any change
+  to the simulator's own sources (:func:`simulator_fingerprint`).
 
 :class:`ResultCache` is the on-disk companion: a directory of pickled
 :class:`~repro.core.experiment.VariantResult` values keyed by content
@@ -28,6 +29,7 @@ first ran, which is what makes repeated sweep artifacts byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -86,6 +88,21 @@ def _program_blob(program: Program) -> dict:
                                               key=lambda seg: seg[0])],
         "entry_point": program.entry_point,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def simulator_fingerprint() -> str:
+    """SHA-256 over the simulator's sources (sorted ``repro/**/*.py``).
+
+    Folded into every content hash so a result cached by one version of
+    the simulator never replays for another.  Computed once per process.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------- #
@@ -199,7 +216,8 @@ class JobSpec:
 
     def content_hash(self) -> str:
         """The stable SHA-256 content address of this job (hex)."""
-        return hashlib.sha256(canonical_json(self).encode()).hexdigest()
+        return hashlib.sha256((simulator_fingerprint()
+                               + canonical_json(self)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------- #

@@ -239,7 +239,8 @@ class DecodedEntry:
     Where :class:`DecodeCache` memoises *words*, a :class:`DecodedEntry`
     memoises one *program location*: the word fetched from ``pc``, its
     decoded form, a precompiled zero-argument closure executing it with
-    operands already resolved, and everything the per-instruction hot path
+    operands already resolved (the only form in which the ISS executes
+    instructions), and everything the per-instruction hot path
     would otherwise recompute (mnemonic string, profile function name,
     memory-access classification).  Entries link forward into basic blocks
     through ``next_entry`` so straight-line code executes without even a
@@ -258,7 +259,7 @@ class DecodedEntry:
                  "function_name", "is_load", "is_store", "is_imm",
                  "access_size", "delay_slot", "valid", "next_entry",
                  "fetch_cycles", "fetch_epoch", "falls_through", "block",
-                 "ea", "rd")
+                 "ea", "rd", "prefix", "prefixed_execute", "prefixed_ea")
 
     def __init__(self, pc: int, word: int, instruction: Instruction,
                  execute, function_name: Optional[str]) -> None:
@@ -279,7 +280,7 @@ class DecodedEntry:
         self.fetch_epoch = -1
         #: True when executing can only advance the PC by 4: no branch,
         #: no IMM prefix, no memory access, no PC-reading special move.
-        #: Set by the core, which knows the handler families.
+        #: Set by the core from its semantics families.
         self.falls_through = False
         #: Cached straight-line block starting here (built by the wrapper).
         self.block = None
@@ -287,6 +288,11 @@ class DecodedEntry:
         #: while no IMM prefix is active).  Set by the core.
         self.ea = None
         self.rd = instruction.rd
+        #: The IMM prefix value ``prefixed_execute``/``prefixed_ea`` were
+        #: compiled for (None until the entry first runs behind a prefix).
+        self.prefix: Optional[int] = None
+        self.prefixed_execute = None
+        self.prefixed_ea = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DecodedEntry(pc={self.pc:#010x}, "

@@ -1,14 +1,19 @@
 """MicroBlaze instruction-set simulator core.
 
-The core is a *functional* model: it executes one instruction per
-:meth:`MicroBlazeCore.step` against abstract ``fetch`` / ``load`` /
-``store`` callbacks and knows nothing about buses or simulation time.  The
-SystemC-style wrapper (:mod:`repro.iss.wrapper`) supplies callbacks that
-perform pin/cycle-accurate OPB transactions; the fast non-cycle-accurate
-paths supply callbacks that talk to the memory dispatcher directly.  This
-mirrors the paper's structure, where "a notably large component is the
-Xilinx MicroBlaze ISS, which is standard C++ implementation wrapped in a
-SystemC module" (section 4).
+The core is a *functional* model: it executes instructions against
+abstract ``fetch`` / ``load`` / ``store`` callbacks and knows nothing about
+buses or simulation time.  Every instruction executes as a
+:class:`~repro.isa.decoder.DecodedEntry`: the word at a program address,
+compiled once into a closure by :meth:`MicroBlazeCore._specialise`, the
+ISS's single table of instruction semantics.  :meth:`MicroBlazeCore.step`
+is the self-contained single step (interrupt check, fetch, entry,
+execute); the SystemC-style wrapper (:mod:`repro.iss.wrapper`) instead
+fetches and pre-executes data accesses over pin/cycle-accurate OPB
+transactions before handing the entry to
+:meth:`MicroBlazeCore.execute_decoded`.  This mirrors the paper's
+structure, where "a notably large component is the Xilinx MicroBlaze ISS,
+which is standard C++ implementation wrapped in a SystemC module"
+(section 4).
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..datatypes import (WORD_MASK, get_field, mask, sign_extend, to_signed,
-                         truncate)
+from ..datatypes import WORD_MASK, get_field, mask, sign_extend, to_signed
 from ..kernel.component import SimComponent
 from ..kernel.errors import ModelError
 from ..isa import encoding as enc
@@ -30,6 +34,44 @@ from .statistics import ExecutionStatistics
 FetchFn = Callable[[int], int]
 LoadFn = Callable[[int, int], int]
 StoreFn = Callable[[int, int, int], None]
+
+#: Every implemented mnemonic, mapped to the semantics family
+#: :meth:`MicroBlazeCore._specialise` compiles it as.
+_FAMILIES = {
+    mnemonic: family
+    for family, mnemonics in (
+        ("add", "add addc addk addkc addi addic addik addikc"),
+        ("rsub", "rsub rsubc rsubk rsubkc rsubi rsubic rsubik rsubikc"),
+        ("cmp", "cmp cmpu"),
+        ("logic", "or and xor andn ori andi xori andni"),
+        ("mul", "mul muli"),
+        ("idiv", "idiv idivu"),
+        ("barrel_shift", "bsrl bsra bsll bsrli bsrai bslli"),
+        ("shift_one", "sra src srl"),
+        ("sext", "sext8 sext16"),
+        ("mfs", "mfs"),
+        ("mts", "mts"),
+        ("msr_bits", "msrset msrclr"),
+        ("branch", "br brd brld bra brad brald "
+                   "bri brid brlid brai braid bralid"),
+        ("cond_branch", " ".join(f"b{cond}{suffix}"
+                                 for cond in ("eq", "ne", "lt", "le", "gt", "ge")
+                                 for suffix in ("", "d", "i", "id"))),
+        ("return", "rtsd rtid rtbd rted"),
+        ("imm", "imm"),
+        ("load", "lbu lhu lw lbui lhui lwi"),
+        ("store", "sb sh sw sbi shi swi"),
+    )
+    for mnemonic in mnemonics.split()
+}
+
+#: Families whose instructions always fall straight through to pc+4: no
+#: branch, no IMM prefix, no memory access and no PC-reading special move
+#: (``mfs`` can read the PC, so it is deliberately absent).  Such entries
+#: may join basic blocks.
+_FALLTHROUGH_FAMILIES = frozenset((
+    "add", "rsub", "cmp", "logic", "mul", "idiv", "barrel_shift",
+    "shift_one", "sext"))
 
 
 @dataclass
@@ -84,18 +126,8 @@ class MicroBlazeCore(SimComponent):
         self.store: StoreFn = store if store is not None else _unconnected
         self._imm_prefix: Optional[int] = None
         self._branch_after_delay: Optional[int] = None
-        self._dispatch = self._build_dispatch()
-        #: Handler families whose instructions always fall straight
-        #: through to pc+4: no branch, no IMM prefix, no memory access and
-        #: no PC-reading special move (``mfs`` can read the PC, so it is
-        #: deliberately absent).  Such entries may join basic blocks.
-        self._fallthrough_handlers = {
-            self._exec_add, self._exec_rsub, self._exec_cmp,
-            self._exec_logic, self._exec_mul, self._exec_idiv,
-            self._exec_barrel_shift, self._exec_shift_one, self._exec_sext,
-        }
-        #: Address-keyed decoded-program cache (the temporally-decoupled
-        #: fast path's working set; see :meth:`build_decoded`).
+        #: Address-keyed decoded-program cache: the compiled entry of every
+        #: program location executed so far (see :meth:`build_decoded`).
         self._decoded: dict[int, DecodedEntry] = {}
         self._decoded_state = DecodedCacheState(self)
 
@@ -135,56 +167,21 @@ class MicroBlazeCore(SimComponent):
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def step(self, take_interrupts: bool = True) -> StepResult:
-        """Fetch, decode and execute exactly one instruction.
-
-        ``take_interrupts=False`` commits the instruction even when an
-        interrupt is pending.  The cycle-accurate wrapper performs the
-        instruction's bus accesses *before* this zero-time execute; an
-        interrupt that rises during those accesses (a device write
-        raising its own level source) must wait for the next boundary --
-        vectoring here would leave the access's side effect in the
-        device and then re-execute the instruction after the handler.
-        """
+    def step(self) -> StepResult:
+        """Take a pending interrupt, or fetch and execute one instruction."""
         if self.halted:
             raise ModelError("cannot step a halted core")
-        if take_interrupts and self._should_take_interrupt():
+        if self._should_take_interrupt():
             return self._take_interrupt()
-
         pc = self.pc
-        word = self.fetch(pc)
-        instruction = self.decode_cache.lookup(word)
-        in_delay_slot = self._branch_after_delay is not None
-
-        handler = self._dispatch.get(instruction.mnemonic)
-        if handler is None:
-            raise ModelError(f"unimplemented mnemonic "
-                             f"{instruction.mnemonic!r} at {pc:#010x}")
-        outcome = handler(instruction)
-        target, took_branch, mem_addr, mem_is_store = outcome
-
-        if instruction.mnemonic != "imm":
-            self._imm_prefix = None
-
-        if in_delay_slot:
-            next_pc = self._branch_after_delay
-            self._branch_after_delay = None
-        elif took_branch and instruction.delay_slot:
-            # The branch target applies after the next (delay-slot) word.
-            self._branch_after_delay = target
-            next_pc = (pc + 4) & WORD_MASK
-        elif took_branch:
-            next_pc = target
-        else:
-            next_pc = (pc + 4) & WORD_MASK
-
-        self.pc = next_pc
-        self.stats.record_instruction(instruction, pc,
-                                      took_branch=took_branch)
-        return StepResult(pc=pc, instruction=instruction, next_pc=next_pc,
-                          took_branch=took_branch,
-                          memory_address=mem_addr,
-                          memory_is_store=mem_is_store)
+        entry = self.fetched_entry(pc, self.fetch(pc))
+        address = None if entry.ea is None \
+            else self.preview_effective_address(entry)
+        took_branch = self.execute_decoded(entry)
+        return StepResult(pc=pc, instruction=entry.instruction,
+                          next_pc=self.pc, took_branch=took_branch,
+                          memory_address=address,
+                          memory_is_store=entry.is_store)
 
     def run(self, max_instructions: int = 1_000_000,
             until_pc: Optional[int] = None) -> int:
@@ -212,15 +209,12 @@ class MicroBlazeCore(SimComponent):
         """
         return self._should_take_interrupt()
 
-    def preview_effective_address(self, instruction: Instruction) -> int:
-        """Effective address the given load/store will use, without side
-        effects.  Valid only immediately before stepping that instruction."""
-        return self._effective_address(instruction)
-
-    def preview_store_value(self, instruction: Instruction) -> int:
-        """Value the given store instruction will write (pre-step preview)."""
-        return self.regs.read(instruction.rd) & mask(
-            instruction.access_size * 8)
+    def preview_effective_address(self, entry: DecodedEntry) -> int:
+        """Address ``entry``'s load/store will access if executed now."""
+        prefix = self._imm_prefix
+        if prefix is None:
+            return entry.ea()
+        return self._with_prefix(entry, prefix).prefixed_ea()
 
     # ------------------------------------------------------------------ #
     # interrupt entry
@@ -245,341 +239,86 @@ class MicroBlazeCore(SimComponent):
                           took_interrupt=True)
 
     # ------------------------------------------------------------------ #
-    # operand helpers
-    # ------------------------------------------------------------------ #
-    def _imm32(self, instruction: Instruction) -> int:
-        """The effective 32-bit immediate, honouring an IMM prefix."""
-        if self._imm_prefix is not None:
-            return ((self._imm_prefix << 16) | instruction.imm) & WORD_MASK
-        return sign_extend(instruction.imm, 16)
-
-    def _operand_b(self, instruction: Instruction) -> int:
-        if instruction.fmt is enc.Format.TYPE_B:
-            return self._imm32(instruction)
-        return self.regs.read(instruction.rb)
-
-    # ------------------------------------------------------------------ #
-    # instruction semantics
-    # ------------------------------------------------------------------ #
-    def _build_dispatch(self) -> dict:
-        dispatch: dict[str, Callable[[Instruction], tuple]] = {}
-        for mnemonic in ("add", "addc", "addk", "addkc",
-                         "addi", "addic", "addik", "addikc"):
-            dispatch[mnemonic] = self._exec_add
-        for mnemonic in ("rsub", "rsubc", "rsubk", "rsubkc",
-                         "rsubi", "rsubic", "rsubik", "rsubikc"):
-            dispatch[mnemonic] = self._exec_rsub
-        dispatch["cmp"] = self._exec_cmp
-        dispatch["cmpu"] = self._exec_cmp
-        for mnemonic in ("or", "and", "xor", "andn",
-                         "ori", "andi", "xori", "andni"):
-            dispatch[mnemonic] = self._exec_logic
-        dispatch["mul"] = self._exec_mul
-        dispatch["muli"] = self._exec_mul
-        dispatch["idiv"] = self._exec_idiv
-        dispatch["idivu"] = self._exec_idiv
-        for mnemonic in ("bsrl", "bsra", "bsll", "bsrli", "bsrai", "bslli"):
-            dispatch[mnemonic] = self._exec_barrel_shift
-        for mnemonic in ("sra", "src", "srl"):
-            dispatch[mnemonic] = self._exec_shift_one
-        dispatch["sext8"] = self._exec_sext
-        dispatch["sext16"] = self._exec_sext
-        dispatch["mfs"] = self._exec_mfs
-        dispatch["mts"] = self._exec_mts
-        dispatch["msrset"] = self._exec_msrset_clr
-        dispatch["msrclr"] = self._exec_msrset_clr
-        for mnemonic in ("br", "brd", "brld", "bra", "brad", "brald",
-                         "bri", "brid", "brlid", "brai", "braid", "bralid"):
-            dispatch[mnemonic] = self._exec_branch
-        for cond in ("eq", "ne", "lt", "le", "gt", "ge"):
-            for suffix in ("", "d", "i", "id"):
-                dispatch[f"b{cond}{suffix}"] = self._exec_cond_branch
-        for mnemonic in ("rtsd", "rtid", "rtbd", "rted"):
-            dispatch[mnemonic] = self._exec_return
-        dispatch["imm"] = self._exec_imm
-        for mnemonic in ("lbu", "lhu", "lw", "lbui", "lhui", "lwi"):
-            dispatch[mnemonic] = self._exec_load
-        for mnemonic in ("sb", "sh", "sw", "sbi", "shi", "swi"):
-            dispatch[mnemonic] = self._exec_store
-        return dispatch
-
-    _NO_BRANCH = (0, False, None, False)
-
-    def _exec_add(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        b = self._operand_b(instruction)
-        mnemonic = instruction.mnemonic
-        use_carry = "c" in mnemonic.replace("addi", "add")[3:]
-        keep_carry = "k" in mnemonic[3:5]
-        total = a + b + (self.msr.carry if use_carry else 0)
-        self.regs.write(instruction.rd, total)
-        if not keep_carry:
-            self.msr.carry = 1 if total > WORD_MASK else 0
-        return self._NO_BRANCH
-
-    def _exec_rsub(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        b = self._operand_b(instruction)
-        mnemonic = instruction.mnemonic
-        suffix = mnemonic.replace("rsubi", "rsub")[4:]
-        use_carry = "c" in suffix
-        keep_carry = "k" in suffix
-        addend = self.msr.carry if use_carry else 1
-        total = b + (WORD_MASK ^ a) + addend
-        self.regs.write(instruction.rd, total)
-        if not keep_carry:
-            self.msr.carry = 1 if total > WORD_MASK else 0
-        return self._NO_BRANCH
-
-    def _exec_cmp(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        b = self.regs.read(instruction.rb)
-        result = truncate(b - a, 32)
-        if instruction.mnemonic == "cmp":
-            greater = to_signed(a) > to_signed(b)
-        else:
-            greater = a > b
-        result = (result & 0x7FFF_FFFF) | (0x8000_0000 if greater else 0)
-        self.regs.write(instruction.rd, result)
-        return self._NO_BRANCH
-
-    def _exec_logic(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        b = self._operand_b(instruction)
-        op = instruction.mnemonic.rstrip("i") \
-            if instruction.fmt is enc.Format.TYPE_B else instruction.mnemonic
-        if op == "or":
-            result = a | b
-        elif op == "and":
-            result = a & b
-        elif op == "xor":
-            result = a ^ b
-        else:  # andn
-            result = a & ~b
-        self.regs.write(instruction.rd, result)
-        return self._NO_BRANCH
-
-    def _exec_mul(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        b = self._operand_b(instruction)
-        self.regs.write(instruction.rd, truncate(a * b, 32))
-        return self._NO_BRANCH
-
-    def _exec_idiv(self, instruction: Instruction) -> tuple:
-        divisor = self.regs.read(instruction.ra)
-        dividend = self.regs.read(instruction.rb)
-        if divisor == 0:
-            self.regs.write(instruction.rd, 0)
-            return self._NO_BRANCH
-        if instruction.mnemonic == "idiv":
-            quotient = int(to_signed(dividend) / to_signed(divisor))
-        else:
-            quotient = dividend // divisor
-        self.regs.write(instruction.rd, truncate(quotient, 32))
-        return self._NO_BRANCH
-
-    def _exec_barrel_shift(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        if instruction.fmt is enc.Format.TYPE_B:
-            amount = instruction.imm & 0x1F
-            kind = instruction.imm & 0x600
-        else:
-            amount = self.regs.read(instruction.rb) & 0x1F
-            kind = instruction.function & 0x600
-        if kind == enc.BS_SLL:
-            result = truncate(a << amount, 32)
-        elif kind == enc.BS_SRA:
-            result = truncate(to_signed(a) >> amount, 32)
-        else:
-            result = a >> amount
-        self.regs.write(instruction.rd, result)
-        return self._NO_BRANCH
-
-    def _exec_shift_one(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        carry_out = a & 1
-        if instruction.mnemonic == "sra":
-            result = truncate(to_signed(a) >> 1, 32)
-        elif instruction.mnemonic == "srl":
-            result = a >> 1
-        else:  # src: shift right through carry
-            result = (a >> 1) | (self.msr.carry << 31)
-        self.regs.write(instruction.rd, result)
-        self.msr.carry = carry_out
-        return self._NO_BRANCH
-
-    def _exec_sext(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
-        bits = 8 if instruction.mnemonic == "sext8" else 16
-        self.regs.write(instruction.rd, sign_extend(a & mask(bits), bits))
-        return self._NO_BRANCH
-
-    def _exec_mfs(self, instruction: Instruction) -> tuple:
-        spr = instruction.imm & 0x3FFF
-        if spr == enc.SPR_PC:
-            value = self.pc
-        elif spr == enc.SPR_MSR:
-            value = self.msr.value
-        elif spr == enc.SPR_EAR:
-            value = self.ear
-        else:
-            value = self.esr
-        self.regs.write(instruction.rd, value)
-        return self._NO_BRANCH
-
-    def _exec_mts(self, instruction: Instruction) -> tuple:
-        spr = instruction.imm & 0x3FFF
-        value = self.regs.read(instruction.ra)
-        if spr == enc.SPR_MSR:
-            self.msr.value = value
-        elif spr == enc.SPR_EAR:
-            self.ear = value
-        elif spr == enc.SPR_ESR:
-            self.esr = value
-        else:
-            raise ModelError(f"mts to read-only special register {spr:#x}")
-        return self._NO_BRANCH
-
-    def _exec_msrset_clr(self, instruction: Instruction) -> tuple:
-        bits = instruction.imm & 0x3FFF
-        old = self.msr.value
-        if instruction.mnemonic == "msrset":
-            self.msr.value = old | bits
-        else:
-            self.msr.value = old & ~bits
-        self.regs.write(instruction.rd, old)
-        return self._NO_BRANCH
-
-    def _exec_branch(self, instruction: Instruction) -> tuple:
-        pc = self.pc
-        if instruction.fmt is enc.Format.TYPE_B:
-            value = self._imm32(instruction)
-        else:
-            value = self.regs.read(instruction.rb)
-        target = value if instruction.absolute \
-            else truncate(pc + value, 32)
-        if instruction.link:
-            self.regs.write(instruction.rd, pc)
-        return (target, True, None, False)
-
-    def _exec_cond_branch(self, instruction: Instruction) -> tuple:
-        pc = self.pc
-        a = to_signed(self.regs.read(instruction.ra))
-        condition = instruction.condition
-        taken = {
-            "eq": a == 0, "ne": a != 0, "lt": a < 0,
-            "le": a <= 0, "gt": a > 0, "ge": a >= 0,
-        }[condition]
-        if not taken:
-            return self._NO_BRANCH
-        offset = self._imm32(instruction) \
-            if instruction.fmt is enc.Format.TYPE_B \
-            else self.regs.read(instruction.rb)
-        target = truncate(pc + offset, 32)
-        return (target, True, None, False)
-
-    def _exec_return(self, instruction: Instruction) -> tuple:
-        base = self.regs.read(instruction.ra)
-        target = truncate(base + self._imm32(instruction), 32)
-        if instruction.mnemonic == "rtid":
-            self.msr.interrupt_enable = True
-        elif instruction.mnemonic == "rtbd":
-            self.msr.break_in_progress = False
-        return (target, True, None, False)
-
-    def _exec_imm(self, instruction: Instruction) -> tuple:
-        self._imm_prefix = instruction.imm
-        return self._NO_BRANCH
-
-    def _exec_load(self, instruction: Instruction) -> tuple:
-        address = self._effective_address(instruction)
-        size = instruction.access_size
-        value = self.load(address, size)
-        self.regs.write(instruction.rd, value & mask(size * 8))
-        self.stats.record_load()
-        return (0, False, address, False)
-
-    def _exec_store(self, instruction: Instruction) -> tuple:
-        address = self._effective_address(instruction)
-        size = instruction.access_size
-        value = self.regs.read(instruction.rd) & mask(size * 8)
-        self.store(address, value, size)
-        self.stats.record_store()
-        if self._decoded:
-            self.invalidate_code(address, size)
-        return (0, False, address, True)
-
-    def _effective_address(self, instruction: Instruction) -> int:
-        base = self.regs.read(instruction.ra)
-        offset = self._operand_b(instruction)
-        return truncate(base + offset, 32)
-
-    # ------------------------------------------------------------------ #
-    # decoded-program cache (the temporally-decoupled fast path)
+    # decoded-program cache
     # ------------------------------------------------------------------ #
     def decoded_entry(self, pc: int) -> Optional[DecodedEntry]:
         """The cached decoded entry at ``pc`` (None on a miss)."""
         return self._decoded.get(pc)
 
+    def fetched_entry(self, pc: int, word: int) -> DecodedEntry:
+        """The entry executing ``word``, just fetched from ``pc``.
+
+        Reuses the cached entry unless the word changed since it was
+        decoded (code rewritten behind the cache), in which case the stale
+        entry is invalidated and rebuilt from the fresh word.
+        """
+        entry = self._decoded.get(pc)
+        if entry is not None:
+            if entry.word == word:
+                return entry
+            self.invalidate_code(pc, 4)
+        return self.build_decoded(pc, word)
+
     def build_decoded(self, pc: int, word: int) -> DecodedEntry:
-        """Decode ``word`` at ``pc`` into a cached precompiled entry."""
+        """Decode ``word`` at ``pc`` into a cached compiled entry."""
         instruction = self.decode_cache.lookup(word)
-        handler = self._dispatch.get(instruction.mnemonic)
-        if handler is None:
+        family = _FAMILIES.get(instruction.mnemonic)
+        if family is None:
             raise ModelError(f"unimplemented mnemonic "
                              f"{instruction.mnemonic!r} at {pc:#010x}")
         symbols = self.stats.symbols
         function_name = symbols.containing(pc) \
             if symbols is not None else None
+        imm = sign_extend(instruction.imm, 16)
         entry = DecodedEntry(pc, word, instruction,
-                             self._specialise(instruction, handler),
+                             self._specialise(instruction, family, imm),
                              function_name)
-        entry.falls_through = handler in self._fallthrough_handlers
+        entry.falls_through = family in _FALLTHROUGH_FAMILIES
         if instruction.is_load or instruction.is_store:
-            entry.ea = self._compile_effective_address(instruction)
+            entry.ea = self._compile_effective_address(instruction, imm)
         self._decoded[pc] = entry
         self.stats.decoded_entries += 1
         return entry
 
     def execute_decoded(self, entry: DecodedEntry) -> bool:
-        """Execute a cached entry; returns ``took_branch``.
+        """Execute and retire ``entry``; returns ``took_branch``.
 
-        Replicates :meth:`step` exactly, minus the fetch (the caller has
-        already routed it) and the interrupt check (the caller only runs
-        decoded entries while no interrupt can be pending).  An active IMM
-        prefix falls back to the generic handler, which resolves the
-        combined 32-bit immediate.
+        Every execution path ends here (the warp's basic-block and
+        load/store fast paths batch the same retire in-line).  The caller
+        has fetched the entry's word and ruled out a pending interrupt.
+        While an IMM prefix is active the entry runs its closure compiled
+        for the combined 32-bit immediate instead.
         """
         pc = self.pc
-        if self._imm_prefix is not None:
-            outcome = self._dispatch[entry.mnemonic](entry.instruction)
+        prefix = self._imm_prefix
+        if prefix is None:
+            target = entry.execute()
         else:
-            outcome = entry.execute()
-        target, took_branch, _mem_addr, _mem_is_store = outcome
-
-        if not entry.is_imm:
-            self._imm_prefix = None
+            target = self._with_prefix(entry, prefix).prefixed_execute()
+            if not entry.is_imm:
+                self._imm_prefix = None
 
         if self._branch_after_delay is not None:
             next_pc = self._branch_after_delay
             self._branch_after_delay = None
-        elif took_branch and entry.delay_slot:
+        elif target is None:
+            next_pc = (pc + 4) & WORD_MASK
+        elif entry.delay_slot:
+            # The branch target applies after the next (delay-slot) word.
             self._branch_after_delay = target
             next_pc = (pc + 4) & WORD_MASK
-        elif took_branch:
-            next_pc = target
         else:
-            next_pc = (pc + 4) & WORD_MASK
+            next_pc = target
 
         self.pc = next_pc
         stats = self.stats
         stats.instructions_retired += 1
         stats.per_mnemonic[entry.mnemonic] += 1
-        if took_branch:
+        if target is not None:
             stats.branches_taken += 1
         if entry.function_name is not None:
             stats.per_function[entry.function_name] += 1
-        return took_branch
+        return target is not None
 
     def invalidate_code(self, address: int, size: int) -> None:
         """Drop decoded entries overlapped by a write to ``address``.
@@ -610,12 +349,29 @@ class MicroBlazeCore(SimComponent):
             entry.valid = False
         self._decoded.clear()
 
-    def _compile_effective_address(self, instruction: Instruction) -> Callable:
+    def _with_prefix(self, entry: DecodedEntry, prefix: int) -> DecodedEntry:
+        """``entry`` with its closures for IMM ``prefix`` memoised on it.
+
+        An IMM/instruction pair is fixed in the code, so the single memo
+        slot always hits after the first execution.
+        """
+        if entry.prefix != prefix:
+            instruction = entry.instruction
+            imm = ((prefix << 16) | instruction.imm) & WORD_MASK
+            entry.prefixed_execute = self._specialise(
+                instruction, _FAMILIES[entry.mnemonic], imm)
+            if entry.ea is not None:
+                entry.prefixed_ea = self._compile_effective_address(
+                    instruction, imm)
+            entry.prefix = prefix
+        return entry
+
+    def _compile_effective_address(self, instruction: Instruction,
+                                   imm: int) -> Callable:
         """A zero-argument closure computing the load/store address.
 
-        Matches :meth:`_effective_address` exactly for the no-IMM-prefix
-        case (operands resolved at compile time); callers must fall back to
-        :meth:`preview_effective_address` while a prefix is active.
+        ``imm`` is the resolved operand-B immediate (see
+        :meth:`_specialise`); type-A forms add ``rb`` instead.
         """
         # Index the register list directly: the 5-bit operand fields are
         # in range by construction, so the bounds check in ``regs.read``
@@ -623,10 +379,8 @@ class MicroBlazeCore(SimComponent):
         values = self.regs._regs
         ra = instruction.ra
         if instruction.fmt is enc.Format.TYPE_B:
-            imm16 = sign_extend(instruction.imm, 16)
-
             def effective_address():
-                return (values[ra] + imm16) & WORD_MASK
+                return (values[ra] + imm) & WORD_MASK
         else:
             rb = instruction.rb
 
@@ -634,32 +388,34 @@ class MicroBlazeCore(SimComponent):
                 return (values[ra] + values[rb]) & WORD_MASK
         return effective_address
 
-    def _specialise(self, instruction: Instruction, handler) -> Callable:
+    def _specialise(self, instruction: Instruction, family: str,
+                    imm: int) -> Callable:
         """Compile ``instruction`` into a zero-argument closure.
 
-        The closure performs exactly what ``handler(instruction)`` would
-        -- same register/MSR traffic, same statistics, same outcome tuple
-        -- but with the per-execution work hoisted out: mnemonic string
-        parsing, operand-field extraction, format checks and the dispatch
-        lookup all happen once, here.  Only valid while no IMM prefix is
-        active (:meth:`execute_decoded` falls back to ``handler`` then).
+        This is the ISS's one table of instruction semantics: every
+        execution path runs these closures.  ``imm`` is the resolved
+        operand-B immediate -- ``sign_extend(imm, 16)``, or the combined
+        32-bit value behind an IMM prefix -- so mnemonic parsing, operand
+        extraction, format checks and the prefix are resolved once, here.
+        Families that read their immediate field as a function code
+        (barrel-shift amount, special-register number, MSR bits) ignore a
+        prefix.  The closure returns the branch target when it branches
+        and None otherwise.
         """
         regs = self.regs
         msr = self.msr
         mnemonic = instruction.mnemonic
         fmt_b = instruction.fmt is enc.Format.TYPE_B
-        imm16 = sign_extend(instruction.imm, 16)
         ra = instruction.ra
         rb = instruction.rb
         rd = instruction.rd
-        no_branch = self._NO_BRANCH
 
-        # The hottest handlers index the register list directly (operand
+        # The hottest families index the register list directly (operand
         # fields are 5 bits, always in range; ``rd == 0`` writes are
         # discarded by the hoisted guard exactly like ``regs.write``).
         values = regs._regs
 
-        if handler == self._exec_add:
+        if family == "add":
             use_carry = "c" in mnemonic.replace("addi", "add")[3:]
             keep_carry = "k" in mnemonic[3:5]
             if not use_carry and keep_carry:
@@ -667,59 +423,52 @@ class MicroBlazeCore(SimComponent):
                 if fmt_b:
                     def exec_add():
                         if rd:
-                            values[rd] = (values[ra] + imm16) & WORD_MASK
-                        return no_branch
+                            values[rd] = (values[ra] + imm) & WORD_MASK
                 else:
                     def exec_add():
                         if rd:
                             values[rd] = (values[ra] + values[rb]) & WORD_MASK
-                        return no_branch
                 return exec_add
             if not use_carry:
                 # add/addi: addition plus the carry-out update.
                 if fmt_b:
                     def exec_add():
-                        total = values[ra] + imm16
+                        total = values[ra] + imm
                         if rd:
                             values[rd] = total & WORD_MASK
                         msr.carry = 1 if total > WORD_MASK else 0
-                        return no_branch
                 else:
                     def exec_add():
                         total = values[ra] + values[rb]
                         if rd:
                             values[rd] = total & WORD_MASK
                         msr.carry = 1 if total > WORD_MASK else 0
-                        return no_branch
                 return exec_add
 
             def exec_add():
-                total = values[ra] + (imm16 if fmt_b else values[rb]) \
+                total = values[ra] + (imm if fmt_b else values[rb]) \
                     + msr.carry
                 if rd:
                     values[rd] = total & WORD_MASK
                 if not keep_carry:
                     msr.carry = 1 if total > WORD_MASK else 0
-                return no_branch
             return exec_add
 
-        if handler == self._exec_rsub:
+        if family == "rsub":
             suffix = mnemonic.replace("rsubi", "rsub")[4:]
             use_carry = "c" in suffix
             keep_carry = "k" in suffix
 
             def exec_rsub():
-                a = regs.read(ra)
-                b = imm16 if fmt_b else regs.read(rb)
-                total = b + (WORD_MASK ^ a) \
+                total = (imm if fmt_b else values[rb]) \
+                    + (WORD_MASK ^ values[ra]) \
                     + (msr.carry if use_carry else 1)
                 regs.write(rd, total)
                 if not keep_carry:
                     msr.carry = 1 if total > WORD_MASK else 0
-                return no_branch
             return exec_rsub
 
-        if handler == self._exec_cmp:
+        if family == "cmp":
             signed = mnemonic == "cmp"
 
             def exec_cmp():
@@ -735,15 +484,14 @@ class MicroBlazeCore(SimComponent):
                 if rd:
                     values[rd] = (result & 0x7FFF_FFFF) \
                         | (0x8000_0000 if greater else 0)
-                return no_branch
             return exec_cmp
 
-        if handler == self._exec_logic:
+        if family == "logic":
             op = mnemonic.rstrip("i") if fmt_b else mnemonic
 
             def exec_logic():
                 a = values[ra]
-                b = imm16 if fmt_b else values[rb]
+                b = imm if fmt_b else values[rb]
                 if op == "or":
                     result = a | b
                 elif op == "and":
@@ -754,31 +502,117 @@ class MicroBlazeCore(SimComponent):
                     result = a & ~b
                 if rd:
                     values[rd] = result & WORD_MASK
-                return no_branch
             return exec_logic
 
-        if handler == self._exec_mul:
+        if family == "mul":
             def exec_mul():
-                a = regs.read(ra)
-                b = imm16 if fmt_b else regs.read(rb)
-                regs.write(rd, truncate(a * b, 32))
-                return no_branch
+                regs.write(rd, values[ra] * (imm if fmt_b else values[rb]))
             return exec_mul
 
-        if handler == self._exec_branch:
+        if family == "idiv":
+            signed = mnemonic == "idiv"
+
+            def exec_idiv():
+                divisor = values[ra]
+                dividend = values[rb]
+                if divisor == 0:
+                    quotient = 0
+                elif signed:
+                    quotient = int(to_signed(dividend) / to_signed(divisor))
+                else:
+                    quotient = dividend // divisor
+                regs.write(rd, quotient)
+            return exec_idiv
+
+        if family == "barrel_shift":
+            # The immediate form's amount and kind are function bits: an
+            # IMM prefix does not reach them.
+            kind = (instruction.imm if fmt_b else instruction.function) & 0x600
+            fixed_amount = instruction.imm & 0x1F
+
+            def exec_barrel_shift():
+                a = values[ra]
+                amount = fixed_amount if fmt_b else values[rb] & 0x1F
+                if kind == enc.BS_SLL:
+                    result = a << amount
+                elif kind == enc.BS_SRA:
+                    result = to_signed(a) >> amount
+                else:
+                    result = a >> amount
+                regs.write(rd, result)
+            return exec_barrel_shift
+
+        if family == "shift_one":
+            def exec_shift_one():
+                a = values[ra]
+                if mnemonic == "sra":
+                    result = to_signed(a) >> 1
+                elif mnemonic == "srl":
+                    result = a >> 1
+                else:  # src: shift right through carry
+                    result = (a >> 1) | (msr.carry << 31)
+                regs.write(rd, result)
+                msr.carry = a & 1
+            return exec_shift_one
+
+        if family == "sext":
+            bits = 8 if mnemonic == "sext8" else 16
+
+            def exec_sext():
+                regs.write(rd, sign_extend(values[ra] & mask(bits), bits))
+            return exec_sext
+
+        # Special-register number (mfs/mts) or MSR bit mask (msrset/msrclr).
+        imm14 = instruction.imm & 0x3FFF
+        if family == "mfs":
+            def exec_mfs():
+                if imm14 == enc.SPR_PC:
+                    value = self.pc
+                elif imm14 == enc.SPR_MSR:
+                    value = msr.value
+                elif imm14 == enc.SPR_EAR:
+                    value = self.ear
+                else:
+                    value = self.esr
+                regs.write(rd, value)
+            return exec_mfs
+
+        if family == "mts":
+            def exec_mts():
+                value = values[ra]
+                if imm14 == enc.SPR_MSR:
+                    msr.value = value
+                elif imm14 == enc.SPR_EAR:
+                    self.ear = value
+                elif imm14 == enc.SPR_ESR:
+                    self.esr = value
+                else:
+                    raise ModelError(
+                        f"mts to read-only special register {imm14:#x}")
+            return exec_mts
+
+        if family == "msr_bits":
+            setting = mnemonic == "msrset"
+
+            def exec_msr_bits():
+                old = msr.value
+                msr.value = (old | imm14) if setting else (old & ~imm14)
+                regs.write(rd, old)
+            return exec_msr_bits
+
+        if family == "branch":
             absolute = instruction.absolute
             link = instruction.link
 
             def exec_branch():
                 pc = self.pc
-                value = imm16 if fmt_b else values[rb]
-                target = value if absolute else (pc + value) & WORD_MASK
+                value = imm if fmt_b else values[rb]
                 if link and rd:
                     values[rd] = pc & WORD_MASK
-                return (target, True, None, False)
+                return value if absolute else (pc + value) & WORD_MASK
             return exec_branch
 
-        if handler == self._exec_cond_branch:
+        if family == "cond_branch":
             condition = instruction.condition
 
             # The signed comparisons against zero re-expressed on the
@@ -798,58 +632,49 @@ class MicroBlazeCore(SimComponent):
                     taken = 0 < a < 0x8000_0000
                 else:  # ge
                     taken = a < 0x8000_0000
-                if not taken:
-                    return no_branch
-                offset = imm16 if fmt_b else values[rb]
-                return ((self.pc + offset) & WORD_MASK, True, None, False)
+                if taken:
+                    offset = imm if fmt_b else values[rb]
+                    return (self.pc + offset) & WORD_MASK
+                return None
             return exec_cond_branch
 
-        if handler == self._exec_return:
+        if family == "return":
             enable_interrupts = mnemonic == "rtid"
             clear_break = mnemonic == "rtbd"
 
             def exec_return():
-                target = truncate(regs.read(ra) + imm16, 32)
                 if enable_interrupts:
                     msr.interrupt_enable = True
                 elif clear_break:
                     msr.break_in_progress = False
-                return (target, True, None, False)
+                return (values[ra] + imm) & WORD_MASK
             return exec_return
 
-        if handler == self._exec_load:
-            size = instruction.access_size
-            value_mask = mask(size * 8)
+        if family == "imm":
+            prefix = instruction.imm
 
+            def exec_imm():
+                self._imm_prefix = prefix
+            return exec_imm
+
+        size = instruction.access_size
+        value_mask = mask(size * 8)
+        if family == "load":
             def exec_load():
-                address = truncate(
-                    regs.read(ra) + (imm16 if fmt_b else regs.read(rb)), 32)
-                value = self.load(address, size)
-                regs.write(rd, value & value_mask)
+                address = (values[ra] + (imm if fmt_b else values[rb])) \
+                    & WORD_MASK
+                regs.write(rd, self.load(address, size) & value_mask)
                 self.stats.loads += 1
-                return (0, False, address, False)
             return exec_load
 
-        if handler == self._exec_store:
-            size = instruction.access_size
-            value_mask = mask(size * 8)
-
-            def exec_store():
-                address = truncate(
-                    regs.read(ra) + (imm16 if fmt_b else regs.read(rb)), 32)
-                self.store(address, regs.read(rd) & value_mask, size)
-                self.stats.stores += 1
-                if self._decoded:
-                    self.invalidate_code(address, size)
-                return (0, False, address, True)
-            return exec_store
-
-        # Rare instructions (shifts, special registers, idiv, imm) keep the
-        # generic handler; binding the instruction still removes the
-        # dispatch lookup from the hot loop.
-        def exec_generic():
-            return handler(instruction)
-        return exec_generic
+        def exec_store():
+            address = (values[ra] + (imm if fmt_b else values[rb])) \
+                & WORD_MASK
+            self.store(address, values[rd] & value_mask, size)
+            self.stats.stores += 1
+            if self._decoded:
+                self.invalidate_code(address, size)
+        return exec_store
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore

@@ -65,7 +65,7 @@ _WARP_RETRY = object()
 #: request still latched in the core, any of these ends the warp *before*
 #: executing, so re-enabling interrupts (and the re-taken entry that
 #: follows) replays on the exact per-cycle edge.  None of them is a
-#: fall-through handler, so the basic-block fast path never hides one.
+#: fall-through family, so the basic-block fast path never hides one.
 _IE_SETTING_MNEMONICS = frozenset(("rtid", "mts", "msrset"))
 
 #: CPU abstraction-level selectors (``ModelConfig.cpu_level``), mirroring
@@ -119,6 +119,11 @@ class QuantumContext:
         #: The full set of detachable processes (filled by enable_quantum).
         self.known_processes: set = set()
 
+
+#: Cycles a finished execute thread sleeps between checks for a new
+#: budget or halt target.  The wake grid fixes the cycle execution resumes
+#: on, so idle warps charge whole sleeps only.
+_IDLE_SLEEP_CYCLES = 64
 
 #: Upper bound on basic-block length; straight-line ALU runs longer than
 #: this are split (keeps per-block budget/horizon checks meaningful).
@@ -181,8 +186,7 @@ class MicroBlazeWrapper(Module, SimComponent):
         self.lmb = lmb
         self.dispatcher = dispatcher
         self.interceptor = interceptor
-        self.core = MicroBlazeCore(fetch=self._serve_fetch,
-                                   load=self._serve_load,
+        self.core = MicroBlazeCore(load=self._serve_load,
                                    store=self._capture_store,
                                    reset_pc=reset_pc)
         #: Address that stops execution when the PC reaches it.
@@ -209,7 +213,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         #: Bumped whenever instruction routing may have changed (memory
         #: suppression toggles); stale per-entry fetch timings re-route.
         self._route_epoch = 0
-        self._fetched_word = 0
         self._load_value = 0
         self._instruction_cycles = 0
         #: Deferred action requested by an in-warp device access, applied
@@ -229,9 +232,9 @@ class MicroBlazeWrapper(Module, SimComponent):
             self.interrupt_signal = None
 
     # -- core memory-interface callbacks -------------------------------------
-    def _serve_fetch(self, address: int) -> int:
-        return self._fetched_word
-
+    # The wrapper fetches over the routed path itself and performs every
+    # data access before the core executes the instruction, so the core
+    # has no fetch callback and these only hand over the results.
     def _serve_load(self, address: int, size: int) -> int:
         return self._load_value
 
@@ -306,7 +309,6 @@ class MicroBlazeWrapper(Module, SimComponent):
             "max_instructions": self.max_instructions,
             "halt_address": self.halt_address,
             "route_epoch": self._route_epoch,
-            "fetched_word": self._fetched_word,
             "load_value": self._load_value,
             "instruction_cycles": self._instruction_cycles,
             "wake_time_ps": event._pending_time,
@@ -330,7 +332,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         self.max_instructions = state["max_instructions"]
         self.halt_address = state["halt_address"]
         self._route_epoch = state["route_epoch"]
-        self._fetched_word = state["fetched_word"]
         self._load_value = state["load_value"]
         self._instruction_cycles = state["instruction_cycles"]
         event = thread._timeout_event
@@ -346,7 +347,15 @@ class MicroBlazeWrapper(Module, SimComponent):
         while True:
             if self.finished:
                 # Idle until a new budget or halt target re-arms execution.
-                yield self.clock.period_ps * 64
+                yield self.clock.period_ps * _IDLE_SLEEP_CYCLES
+                quantum = self._quantum
+                if self.finished and quantum is not None \
+                        and not quantum.blocked:
+                    # The sleep matured before this cycle's rising edge;
+                    # warp the idle time from that edge on, like a burst.
+                    yield None
+                    if self._quantum_can_engage(quantum):
+                        yield from self._quantum_burst(quantum, idle=True)
                 continue
             if self._should_stop():
                 self.finished = True
@@ -377,23 +386,23 @@ class MicroBlazeWrapper(Module, SimComponent):
             # ---- instruction fetch ---------------------------------------
             pc = core.pc
             word = yield from self._fetch(pc)
-            instruction = core.decode_cache.lookup(word)
+            entry = core.fetched_entry(pc, word)
             # ---- data access (performed ahead of the zero-time execute) --
-            if instruction.is_load:
-                address = core.preview_effective_address(instruction)
+            if entry.is_load:
                 self._load_value = yield from self._data_read(
-                    address, instruction.access_size)
-            elif instruction.is_store:
-                address = core.preview_effective_address(instruction)
-                value = core.preview_store_value(instruction)
-                yield from self._data_write(address, value,
-                                            instruction.access_size)
+                    core.preview_effective_address(entry), entry.access_size)
+            elif entry.is_store:
+                size = entry.access_size
+                yield from self._data_write(
+                    core.preview_effective_address(entry),
+                    core.regs.read(entry.rd) & _SIZE_MASKS[size], size)
             # ---- execute in zero simulation time --------------------------
             # The fetch and data access above already happened on the bus;
             # an interrupt that rose during them waits for the next
-            # boundary (the will-be-taken check at the top of the loop).
-            self._fetched_word = word
-            core.step(take_interrupts=False)
+            # boundary (the will-be-taken check at the top of the loop):
+            # vectoring now would leave the access's side effect in the
+            # device and re-execute the instruction after the handler.
+            core.execute_decoded(entry)
             core.stats.add_cycles(self._instruction_cycles)
 
     def _should_stop(self) -> bool:
@@ -491,7 +500,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                 return False
         return True
 
-    def _quantum_burst(self, ctx: QuantumContext):
+    def _quantum_burst(self, ctx: QuantumContext, idle: bool = False):
         """Execute up to one time quantum against DMI-backed memory.
 
         Runs at a rising-edge activation, after ``_quantum_can_engage``
@@ -512,6 +521,10 @@ class MicroBlazeWrapper(Module, SimComponent):
         with full fabric bookkeeping instead of ending the warp; accesses
         that observe RX state are pinned strictly behind the horizon, and
         ones that could move an interrupt edge end the warp first.
+
+        A finished (``idle``) core executes nothing: the warp charges
+        whole idle sleeps up to the nearest bound instead, so the clocked
+        peripherals skip the idle time exactly as they skip a quantum.
 
         Returns True when at least one cycle was charged; False leaves
         the kernel state untouched so the caller runs the ordinary
@@ -580,7 +593,7 @@ class MicroBlazeWrapper(Module, SimComponent):
         budget = None
         if self.max_instructions is not None:
             budget = self.max_instructions - core.stats.instructions_retired
-        allowed = self.quantum_instructions
+        allowed = 0 if idle else self.quantum_instructions
         if budget is not None and budget < allowed:
             allowed = budget
         # -1 is never a PC value, so it doubles as "no halt address".
@@ -652,6 +665,8 @@ class MicroBlazeWrapper(Module, SimComponent):
                         link_limited = True
             flush = False
             sub_start = cycles
+            if idle and bound is not None:
+                cycles = bound - bound % _IDLE_SLEEP_CYCLES
             while executed < allowed:
                 pc = core.pc
                 if pc == halt and core._branch_after_delay is None:
@@ -683,12 +698,8 @@ class MicroBlazeWrapper(Module, SimComponent):
                         if served is None:
                             break
                         word, fetch_cycles = served
-                    if entry is None:
-                        entry = core.build_decoded(pc, word)
-                    elif word != entry.word:
-                        # Self-modified since decode: rebuild from the fresh word.
-                        core.invalidate_code(pc, 4)
-                        entry = core.build_decoded(pc, word)
+                    # Rebuilds the entry if the code was self-modified.
+                    entry = core.fetched_entry(pc, word)
                     entry.fetch_cycles = fetch_cycles
                     entry.fetch_epoch = epoch
                 if prev is not None and prev.next_entry is not entry:
@@ -719,16 +730,16 @@ class MicroBlazeWrapper(Module, SimComponent):
                         prev = block.last_entry
                         continue
                 # ---- inlined load/store execution -------------------------
-                if (entry.is_load or entry.is_store) \
-                        and core._imm_prefix is None:
+                if entry.is_load or entry.is_store:
                     # The whole data instruction in-line: the precompiled
-                    # address closure, a direct backing-store access and the
-                    # PC chain -- exactly the state changes exec_load /
-                    # exec_store plus execute_decoded would make, minus the
-                    # call layers.  Misalignment and unservable targets break
-                    # out so the per-cycle path replays the instruction with
-                    # its full diagnostics.
-                    address = entry.ea()
+                    # (prefix-aware) address closure, a direct backing-store
+                    # access and the PC chain -- exactly the state changes
+                    # the entry's closure plus execute_decoded would make,
+                    # minus the call layers.  Misalignment and unservable
+                    # targets break out so the per-cycle path replays the
+                    # instruction with its full diagnostics.
+                    address = entry.ea() if core._imm_prefix is None \
+                        else core.preview_effective_address(entry)
                     size = entry.access_size
                     if size > 1 and address % size:
                         break
@@ -819,6 +830,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                         stats.stores += 1
                         if core._decoded:
                             core.invalidate_code(address, size)
+                    core._imm_prefix = None
                     target = core._branch_after_delay
                     if target is not None:
                         core.pc = target
@@ -847,83 +859,15 @@ class MicroBlazeWrapper(Module, SimComponent):
                     # re-taken interrupt entry behind it) replays on the
                     # exact per-cycle edge.
                     break
-                # Pre-execute an IMM-prefixed data access, exactly like the
-                # per-cycle path (the preview honours the active prefix).
-                data_cycles = 0
-                if entry.is_load:
-                    address = core.preview_effective_address(entry.instruction)
-                    size = entry.access_size
-                    if bram is not None and bram_lo <= address \
-                            and address + size <= bram_end:
-                        lmb.reads += 1
-                        value = bram.read(address, size)
-                        data_cycles = LMB_ACCESS_CYCLES
-                    elif disp_main is not None and main_lo <= address \
-                            and address + size <= main_end:
-                        dispatcher.data_accesses += 1
-                        value = disp_main.read(address, size)
-                        data_cycles = DISPATCHER_ACCESS_CYCLES
-                    else:
-                        served = transport.direct_read(DATA_MASTER, address, size)
-                        if served is None:
-                            break
-                        value, data_cycles = served
-                    self._load_value = value
-                elif entry.is_store:
-                    address = core.preview_effective_address(entry.instruction)
-                    size = entry.access_size
-                    value = core.preview_store_value(entry.instruction)
-                    if bram is not None and bram_lo <= address \
-                            and address + size <= bram_end:
-                        lmb.writes += 1
-                        bram.write(address, value, size)
-                        data_cycles = LMB_ACCESS_CYCLES
-                    elif disp_main is not None and main_lo <= address \
-                            and address + size <= main_end:
-                        dispatcher.data_accesses += 1
-                        disp_main.write(address, value, size)
-                        data_cycles = DISPATCHER_ACCESS_CYCLES
-                    else:
-                        data_cycles = transport.direct_write(DATA_MASTER, address,
-                                                             value, size)
-                        if data_cycles is None:
-                            break
-                step_cycles = fetch_cycles + data_cycles
                 if bound is not None \
-                        and cycles + step_cycles > bound:
+                        and cycles + fetch_cycles > bound:
                     # Timer wrap / run window / link horizon ahead; flush
                     # (horizon) or let the per-cycle path carry execution
                     # across the break point (everything else).
                     flush = link_limited
                     break
-                if core._imm_prefix is None:
-                    # Inlined execute_decoded for the prefix-free case: the
-                    # specialised closure plus the PC chain and stats, without
-                    # the extra frame.  An IMM entry sets the prefix inside
-                    # its closure, so there is nothing to clear here.
-                    outcome = entry.execute()
-                    target = outcome[0]
-                    took_branch = outcome[1]
-                    pending = core._branch_after_delay
-                    if pending is not None:
-                        core.pc = pending
-                        core._branch_after_delay = None
-                    elif took_branch and entry.delay_slot:
-                        core._branch_after_delay = target
-                        core.pc = (pc + 4) & WORD_MASK
-                    elif took_branch:
-                        core.pc = target
-                    else:
-                        core.pc = (pc + 4) & WORD_MASK
-                    stats.instructions_retired += 1
-                    per_mnemonic[entry.mnemonic] += 1
-                    if took_branch:
-                        stats.branches_taken += 1
-                    if entry.function_name is not None:
-                        per_function[entry.function_name] += 1
-                else:
-                    core.execute_decoded(entry)
-                cycles += step_cycles
+                core.execute_decoded(entry)
+                cycles += fetch_cycles
                 executed += 1
                 prev = entry
             if not flush or cycles == sub_start:
@@ -967,9 +911,10 @@ class MicroBlazeWrapper(Module, SimComponent):
                 event._pending_kind = "timed"
                 event._pending_time = record[2]
             return False
-        stats.add_cycles(cycles)
-        stats.quantum_warps += 1
-        stats.quantum_instructions += executed
+        if not idle:
+            stats.add_cycles(cycles)
+            stats.quantum_warps += 1
+            stats.quantum_instructions += executed
         # ---- charge the rest of the quantum in one timed wait ---------
         if cycles > charged:
             self.decoupled_until_ps = warp_start + cycles * period
@@ -1021,8 +966,7 @@ class MicroBlazeWrapper(Module, SimComponent):
         wait for the link horizon to move (the caller flushes the current
         sub-burst and retries the instruction).
         """
-        transport = self.transport
-        if transport.kind not in (BUS_TRANSACTION, BUS_FUNCTIONAL):
+        if self.transport.kind not in (BUS_TRANSACTION, BUS_FUNCTIONAL):
             return None
         ethernet = ctx.ethernet
         if ethernet is not None and ethernet.link is not None \
@@ -1053,12 +997,8 @@ class MicroBlazeWrapper(Module, SimComponent):
                                     ethernet.REG_MAC_LOW,
                                     ethernet.REG_TX_STATUS):
                     return _WARP_RETRY
-            transport._grant(DATA_MASTER)
-            value = ethernet.target_read(address, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
-            return value, data_cycles
+            return self._warp_access(data_cycles, ethernet.target_read,
+                                     address, size), data_cycles
         for record in uart_states:
             uart = record[0]
             if uart.detached or not (uart.base_address <= address
@@ -1074,12 +1014,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             # replay them before reading cycle-varying FIFO state.
             self._warp_uart_replay(
                 record, warp_start + (base_cycles + pre_access) * period)
-            transport._grant(DATA_MASTER)
-            value = uart.target_read(address, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
-            return value, data_cycles
+            return self._warp_access(data_cycles, uart.target_read,
+                                     address, size), data_cycles
         return None
 
     def _warp_device_write(self, ctx, uart_states, address, value, size,
@@ -1094,8 +1030,7 @@ class MicroBlazeWrapper(Module, SimComponent):
         replays them and the interrupt wiring sees the transition on the
         exact cycle it would have per-cycle.
         """
-        transport = self.transport
-        if transport.kind not in (BUS_TRANSACTION, BUS_FUNCTIONAL):
+        if self.transport.kind not in (BUS_TRANSACTION, BUS_FUNCTIONAL):
             return None
         ethernet = ctx.ethernet
         if ethernet is not None and ethernet.link is not None \
@@ -1130,21 +1065,16 @@ class MicroBlazeWrapper(Module, SimComponent):
                 # Both interact with delivery ordering (queue head pop,
                 # sticky-overflow W1C) -- only final before the horizon.
                 return _WARP_RETRY
-            transport._grant(DATA_MASTER)
             if offset == ethernet.REG_TX_GO:
                 # Commit the frame at the access edge's *virtual* time so
                 # the link derives the same delivery due time the
                 # per-cycle path would have produced.
                 ethernet.tx_commit_ps = edge_ps
-                try:
-                    ethernet.target_write(address, value, size)
-                finally:
-                    ethernet.tx_commit_ps = None
-            else:
-                ethernet.target_write(address, value, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            try:
+                self._warp_access(data_cycles, ethernet.target_write,
+                                  address, value, size)
+            finally:
+                ethernet.tx_commit_ps = None
             return data_cycles
         intc = ctx.intc
         if intc is not None and not intc.detached \
@@ -1170,11 +1100,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             data_cycles = pre_access + ACK_TO_MASTER_CYCLES
             if bound is not None and base_cycles + data_cycles > bound:
                 return _WARP_RETRY if link_limited else None
-            transport._grant(DATA_MASTER)
-            intc.target_write(address, value, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            self._warp_access(data_cycles, intc.target_write, address, value,
+                              size)
             # The acknowledge scheduled the output's fall; apply it
             # synchronously (the queued signal update re-applies the same
             # value, a no-op) and clear the core's latched request so the
@@ -1199,13 +1126,26 @@ class MicroBlazeWrapper(Module, SimComponent):
             self._warp_uart_replay(
                 record, warp_start + (base_cycles + pre_access) * period)
             record[5] = True
-            transport._grant(DATA_MASTER)
-            uart.target_write(address, value, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            self._warp_access(data_cycles, uart.target_write, address, value,
+                              size)
             return data_cycles
         return None
+
+    def _warp_access(self, data_cycles, access, *args):
+        """Perform one in-warp device access as the TLM fabrics would.
+
+        Wins the data-master grant, calls ``access(*args)`` (the target's
+        ``target_read``/``target_write``), accounts ``data_cycles`` on the
+        master and, on the functional fabric, counts the target access.
+        Returns what ``access`` returned.
+        """
+        transport = self.transport
+        transport._grant(DATA_MASTER)
+        result = access(*args)
+        transport._account(DATA_MASTER, data_cycles)
+        if transport.kind == BUS_FUNCTIONAL:
+            transport.target_accesses += 1
+        return result
 
     def _warp_uart_replay(self, record, edge_ps: int) -> None:
         """Replay the UART's drain wakes due up to ``edge_ps`` (inclusive).

@@ -191,6 +191,7 @@ class RtlVanillaNetSystem(SimComponent):
         self.memory.load_program(program)
         self.core.pc = program.entry_point
         self.core.stats.attach_symbols(program.symbols)
+        self.core.clear_decoded_cache()
         self.halt_address = program.symbols.get(halt_symbol)
 
     # -- execution ----------------------------------------------------------------------
@@ -277,7 +278,7 @@ class _RtlControlFsm(Module, SimComponent):
         self.system = system
         self._state = self.STATE_FETCH
         self._wait = FETCH_CYCLES
-        self._pending_instruction = None
+        self._pending_entry = None
         #: Retired instructions (matches the semantic core's statistics).
         self.instructions_retired = 0
         self.sc_method(self._tick, sensitive=[clock.posedge_event()],
@@ -295,15 +296,16 @@ class _RtlControlFsm(Module, SimComponent):
             word = system.memory.read(system.core.pc, 4)
             system.ir_register.load(word)
             system.pc_register.load(system.core.pc)
-            self._pending_instruction = system.core.decode_cache.lookup(word)
+            self._pending_entry = system.core.fetched_entry(system.core.pc,
+                                                            word)
             self._enter(self.STATE_DECODE, DECODE_CYCLES)
         elif self._state == self.STATE_DECODE:
             self._enter(self.STATE_EXECUTE, EXECUTE_CYCLES)
         elif self._state == self.STATE_EXECUTE:
-            if self._pending_instruction is not None \
-                    and self._pending_instruction.is_memory_access:
+            if self._pending_entry is not None \
+                    and self._pending_entry.instruction.is_memory_access:
                 address = system.core.preview_effective_address(
-                    self._pending_instruction)
+                    self._pending_entry)
                 system.mar_register.load(address)
                 self._enter(self.STATE_MEMORY, MEMORY_CYCLES)
             else:

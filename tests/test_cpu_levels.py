@@ -171,7 +171,7 @@ class TestCrossLevelIdentity:
 
 
 class TestDecodedCacheInvalidation:
-    """Satellite: self-modifying code, decoded cache on and off."""
+    """Satellite: self-modifying code against the decoded-program cache."""
 
     PATCH_PASSES = 3
 
@@ -206,26 +206,21 @@ _halt:
     EXPECTED_R3 = 201
 
     def test_functional_iss_cache_off_reference(self):
-        system = FunctionalMicroBlaze(use_decoded_cache=False)
+        """The harness executes the patched word, not the stale entry."""
+        system = FunctionalMicroBlaze()
         system.memory = _bram_backed_memory()
         system.load_program(self.smc_program())
         system.run(max_instructions=10_000)
         assert system.register(3) == self.EXPECTED_R3
 
     def test_functional_iss_invalidates_on_store(self):
-        results = {}
-        for cached in (False, True):
-            system = FunctionalMicroBlaze(use_decoded_cache=cached)
-            system.memory = _bram_backed_memory()
-            system.load_program(self.smc_program())
-            retired = system.run(max_instructions=10_000)
-            results[cached] = (retired, system.register(3),
-                              system.register(22))
-            assert system.register(3) == self.EXPECTED_R3
-            if cached:
-                assert system.core.stats.decoded_invalidations > 0
-                assert system.core.stats.decoded_entries > 0
-        assert results[False] == results[True]
+        system = FunctionalMicroBlaze()
+        system.memory = _bram_backed_memory()
+        system.load_program(self.smc_program())
+        system.run(max_instructions=10_000)
+        assert system.register(3) == self.EXPECTED_R3
+        assert system.core.stats.decoded_invalidations > 0
+        assert system.core.stats.decoded_entries > 0
 
     @pytest.mark.parametrize("engine", [ENGINE_GENERIC, ENGINE_CLOCKED])
     def test_platform_smc_identity_across_levels(self, engine):
@@ -252,15 +247,16 @@ _halt:
 
     def test_interception_writes_invalidate(self):
         """Native memset/memcpy writes go through the invalidating DMI
-        facade, so interception stays SMC-safe with the cache on."""
+        facade, so an intercepted run matches the executed one."""
         results = {}
-        for cached in (False, True):
-            system = FunctionalMicroBlaze(use_decoded_cache=cached)
+        for intercepted in (False, True):
+            system = FunctionalMicroBlaze()
             system.memory = _bram_backed_memory()
             system.load_program(memory_exercise_program())
-            assert system.enable_interception() > 0
+            if intercepted:
+                assert system.enable_interception() > 0
             system.run(max_instructions=100_000)
-            results[cached] = system.register(3)
+            results[intercepted] = system.register(3)
         assert results[False] == results[True]
 
 

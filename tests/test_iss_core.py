@@ -236,6 +236,43 @@ table:
 """)
         assert system.register(5) == 0x222
 
+    def test_imm_prefixed_loads_and_stores(self):
+        # The prefix supplies the offset's upper half: a low half of
+        # 0x9000 is not sign-extended, and the 32-bit sum wraps.
+        system = run_source("""
+_start:
+    li    r3, 0xCAFEBABE
+    imm   0
+    swi   r3, r0, 0x9000        # 0x00009000, not 0xFFFF9000
+    li    r6, 0xFFFF0008
+    imm   1
+    lwi   r4, r6, 0x8FF8        # 0xFFFF0008 + 0x00018FF8 = 0x9000
+    li    r9, 0x00010000
+    addik r7, r0, 0x1234
+    imm   0xFFFF
+    shi   r7, r9, 0x9002        # 0x00010000 + 0xFFFF9002 = 0x9002
+    imm   0
+    sbi   r7, r0, 0x9001
+    imm   0
+    lbui  r10, r0, 0x9001
+    imm   0
+    lhui  r11, r0, 0x9002
+    imm   0
+    lwi   r12, r0, 0x9000
+    li    r13, 0x9000
+    imm   0xFFFF
+    lw    r14, r13, r0          # type A: the prefix is ignored ...
+    addik r15, r0, 1            # ... and cleared
+""" + HALT_TAIL)
+        assert system.register(4) == 0xCAFEBABE
+        assert system.register(10) == 0x34
+        assert system.register(11) == 0x1234
+        assert system.register(12) == 0xCA341234
+        assert system.register(14) == 0xCA341234
+        assert system.register(15) == 1
+        assert system.core.stats.loads == 5
+        assert system.core.stats.stores == 3
+
 
 class TestControlFlow:
     def test_conditional_branches(self):
@@ -301,6 +338,37 @@ far_away:
     addik r4, r3, 0
 """ + HALT_TAIL)
         assert system.register(4) == 1
+
+    def test_imm_prefixed_branch_forms(self):
+        # Every low half is >= 0x8000: without the prefix it would
+        # sign-extend and branch backwards out of the program.
+        system = run_source("""
+_start:
+    imm   0
+    brai  0x8000                # absolute 0x00008000
+    addik r3, r0, 99            # skipped: no delay slot
+    .org  0x8000
+    addik r3, r0, 1
+    imm   0
+    brlid r15, 0x8000           # at 0x8008: to 0x10008, links 0x8008
+    addik r4, r0, 2             # delay slot
+    .org  0x10008
+    addik r5, r0, 3
+    imm   0
+    beqid r0, 0x8000            # at 0x10010: to 0x18010
+    addik r6, r0, 4             # delay slot
+    .org  0x18010
+    addik r7, r0, 0x100
+    imm   1
+    rtsd  r7, 0x8000            # to 0x100 + 0x18000 = 0x18100
+    addik r8, r0, 5             # delay slot
+    .org  0x18100
+    addik r9, r0, 6
+""" + HALT_TAIL, memory_size=0x20000)
+        assert [system.register(n) for n in range(3, 10)] \
+            == [1, 2, 3, 4, 0x100, 5, 6]
+        assert system.register(15) == 0x8008
+        assert system.core.stats.branches_taken == 5   # 4 + "bri _halt"
 
 
 class TestSpecialRegisters:

@@ -5,7 +5,8 @@ The contract (:mod:`repro.core.job`):
 * ``JobSpec.content_hash()`` is a pure function of the simulated inputs
   -- stable across interpreter processes and ``PYTHONHASHSEED``,
   insensitive to field construction order, changed by any single input
-  change (one program byte, one config field, one window parameter);
+  change (one program byte, one config field, one window parameter) and
+  by any change to the simulator's own sources;
 * ``ResultCache`` round-trips :class:`VariantResult` values keyed by
   that hash, and ``run_matrix_sweep(cache_dir=...)`` performs zero
   re-simulation when every cell is already cached.
@@ -16,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.core import ExperimentOptions, JobSpec, ResultCache
+from repro.core import ExperimentOptions, JobSpec, ResultCache, job
 from repro.core.sweep import expand_matrix, run_matrix_sweep
 from repro.platform import VariantName
 from repro.software import arithmetic_program
@@ -117,6 +118,17 @@ class TestResultCache:
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
         assert cache.stats()["stores"] == 1
+
+    def test_changed_simulator_fingerprint_misses(self, tmp_path,
+                                                  monkeypatch):
+        cache = ResultCache(tmp_path)
+        spec = make_spec()
+        cache.put(spec, {"payload": 7})
+        assert cache.get(spec) == {"payload": 7}
+        monkeypatch.setattr(job, "simulator_fingerprint",
+                            lambda: "0" * 64)
+        assert cache.get(spec) is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,9 +1,13 @@
 """Integration tests: programs running on the full VanillaNet platform."""
 
+from repro.bus import BUS_FUNCTIONAL
+from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels
+from repro.kernel import ENGINE_CLOCKED
 from repro.platform import (ModelConfig, VanillaNetPlatform, VariantName,
                             variant_config)
 from repro.signals import DataMode
-from repro.software import (arithmetic_program, hello_program,
+from repro.software import (BootParams, arithmetic_program,
+                            build_boot_program, hello_program,
                             interrupt_program, memory_exercise_program)
 
 
@@ -122,3 +126,25 @@ class TestProcessInventory:
         combined = VanillaNetPlatform(
             variant_config(VariantName.REDUCED_SCHEDULING))
         assert combined.process_count() == separate.process_count() - 2
+
+
+class TestIdleWarp:
+    def test_idle_tail_warps_without_moving_the_resume_cycle(self):
+        """A drained budget idles to the chunk end; the quantum level warps
+        that idle time yet resumes every window on the same cycle."""
+        results, activations = {}, {}
+        for level in cpu_levels():
+            platform = VanillaNetPlatform(variant_config(
+                VariantName.SUPPRESS_MAIN_MEMORY, engine=ENGINE_CLOCKED,
+                bus_level=BUS_FUNCTIONAL, cpu_level=level))
+            platform.load_program(build_boot_program(
+                BootParams().scaled(0.2)))
+            windows = [platform.run_instructions(250, chunk_cycles=4_000)
+                       for _ in range(4)]
+            results[level] = (windows, platform.architectural_state(),
+                              platform.console_output,
+                              platform.statistics.cycles)
+            activations[level] = platform.sim.stats.process_activations
+        assert results[CPU_CYCLE] == results[CPU_QUANTUM]
+        assert all(cycles == 4_000 for cycles in results[CPU_CYCLE][0])
+        assert activations[CPU_QUANTUM] * 4 < activations[CPU_CYCLE]
