@@ -13,6 +13,7 @@ benchmark run finishes in minutes.
 from __future__ import annotations
 
 import pathlib
+import shutil
 
 import pytest
 
@@ -23,20 +24,95 @@ from repro.kernel import ENGINE_GENERIC
 from repro.platform import VanillaNetPlatform, VariantName, variant_config
 from repro.software import BootParams, build_boot_program
 
+#: The repository root, where ``--record-bench`` writes the artifacts.
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 #: Machine-readable benchmark results (variant x engine x bus level x cpu
 #: level -> CPS + kernel counters), merged across benchmark runs so the
 #: performance trajectory of the repository is comparable from PR to PR.
-BENCH_FIG2_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_fig2.json"
+BENCH_FIG2_PATH = REPO_ROOT / "BENCH_fig2.json"
 
 BENCH_FIG2_SCHEMA = _sweep.BENCH_FIG2_SCHEMA
 
-#: Per-commit ledger of benchmark documents: every ``record_fig2_results``
-#: call also snapshots the merged document to ``bench_history/<commit>.json``
-#: so ``scripts/compare_bench_history.py`` can flag CPS regressions between
-#: commits.
-BENCH_HISTORY_DIR = pathlib.Path(__file__).resolve().parent.parent \
-    / "bench_history"
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-bench", action="store_true", default=False,
+        help="write benchmark artifacts (BENCH_fig2.json, figure2_*.txt, "
+             "bench_history/<commit>.json) into the repository instead of "
+             "a temporary directory")
+
+
+class BenchArtifacts:
+    """The one place a benchmark run writes its artifacts.
+
+    ``root`` is the repository under ``--record-bench`` and otherwise a
+    temporary directory seeded with a copy of the committed
+    ``BENCH_fig2.json``, so an ordinary test run leaves the tree clean
+    while the shape tests still read a complete merged document.  Every
+    merge of ``BENCH_fig2.json`` is also snapshotted into the per-commit
+    ledger ``bench_history/<commit>.json`` under ``root``, which
+    ``scripts/compare_bench_history.py`` reads.
+    """
+
+    def __init__(self, root: pathlib.Path) -> None:
+        self.root = root
+        self.fig2_path = root / BENCH_FIG2_PATH.name
+        self.history_dir = root / "bench_history"
+        self.commit = _sweep.current_commit(REPO_ROOT)
+
+    def write_table(self, name: str, text: str) -> None:
+        """Write one ``figure2_*.txt`` report table."""
+        (self.root / name).write_text(text)
+
+    def record_fig2_results(self, results, errors=()) -> dict:
+        """Merge measured variant results into ``BENCH_fig2.json``.
+
+        ``results`` is an iterable of
+        :class:`~repro.core.experiment.VariantResult`; ``errors`` an
+        iterable of sweep error records (failed/timed-out cells), which
+        become explicit ``error`` entries rather than silently missing
+        keys.  Returns the full document written.
+        """
+        return self.record_bench_history(_sweep.record_fig2_results(
+            results, self.fig2_path, errors=errors))
+
+    def record_cluster_results(self, results) -> dict:
+        """Merge measured cluster cells into ``BENCH_fig2.json``.
+
+        Cluster rows share the document (and the per-commit history
+        snapshot) with the single-node Figure 2 entries, so
+        ``scripts/compare_bench_history.py --keys cluster`` can gate on
+        cluster CPS regressions.  Returns the full document written.
+        """
+        return self.record_bench_history(_sweep.record_cluster_results(
+            results, self.fig2_path))
+
+    def record_bench_history(self, document: dict) -> dict:
+        """Snapshot ``document`` into ``bench_history/<commit>.json``."""
+        _sweep.record_bench_history(document, self.history_dir,
+                                    commit=self.commit)
+        return document
+
+    def load_fig2_results(self) -> dict:
+        """The current ``BENCH_fig2.json`` (empty skeleton if absent)."""
+        return _sweep.load_fig2_results(self.fig2_path)
+
+
+@pytest.fixture(scope="session")
+def bench_artifacts(request, tmp_path_factory) -> BenchArtifacts:
+    """Where this session's benchmark artifacts go (see BenchArtifacts).
+
+    The option is looked up with a default because a run started from the
+    repository root without naming ``benchmarks/`` loads this conftest
+    only after the command line is parsed.
+    """
+    if request.config.getoption("record_bench", default=False):
+        return BenchArtifacts(REPO_ROOT)
+    root = tmp_path_factory.mktemp("bench-artifacts")
+    if BENCH_FIG2_PATH.exists():
+        shutil.copyfile(BENCH_FIG2_PATH, root / BENCH_FIG2_PATH.name)
+    return BenchArtifacts(root)
 
 
 def pytest_collection_modifyitems(items):
@@ -101,49 +177,6 @@ def record_speed(benchmark, platform: VanillaNetPlatform,
     benchmark.extra_info["cpi"] = round(
         stats.cycles / max(1, stats.instructions_retired), 2)
     benchmark.extra_info["processes"] = platform.process_count()
-
-
-def record_fig2_results(results, errors=()) -> dict:
-    """Merge measured variant results into ``BENCH_fig2.json``.
-
-    Thin wrapper over :func:`repro.core.sweep.record_fig2_results` bound
-    to this repository's paths.  ``results`` is an iterable of
-    :class:`~repro.core.experiment.VariantResult`; ``errors`` an iterable
-    of sweep error records (failed/timed-out cells), which become
-    explicit ``error`` entries rather than silently missing keys.  The
-    merged document is also snapshotted into the per-commit
-    ``bench_history/`` ledger.  Returns the full document written.
-    """
-    return _sweep.record_fig2_results(results, BENCH_FIG2_PATH,
-                                      history_dir=BENCH_HISTORY_DIR,
-                                      errors=errors)
-
-
-def record_cluster_results(results) -> dict:
-    """Merge measured cluster cells into ``BENCH_fig2.json``.
-
-    Cluster rows share the document (and the per-commit history
-    snapshot) with the single-node Figure 2 entries, so
-    ``scripts/compare_bench_history.py --keys cluster`` can gate on
-    cluster CPS regressions.  Returns the full document written.
-    """
-    return _sweep.record_cluster_results(results, BENCH_FIG2_PATH,
-                                         history_dir=BENCH_HISTORY_DIR)
-
-
-def current_commit() -> str:
-    """The abbreviated hash of HEAD (``"unversioned"`` outside git)."""
-    return _sweep.current_commit(BENCH_FIG2_PATH.parent)
-
-
-def record_bench_history(document: dict) -> pathlib.Path:
-    """Snapshot a benchmark document into ``bench_history/<commit>.json``."""
-    return _sweep.record_bench_history(document, BENCH_HISTORY_DIR)
-
-
-def load_fig2_results() -> dict:
-    """The current ``BENCH_fig2.json`` document (empty skeleton if absent)."""
-    return _sweep.load_fig2_results(BENCH_FIG2_PATH)
 
 
 @pytest.fixture(scope="session")

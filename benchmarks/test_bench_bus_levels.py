@@ -17,22 +17,19 @@ like the engine ablation.
 
 The measured matrix is recorded into ``BENCH_fig2.json`` (keyed
 variant/engine/bus level) and rendered into ``figure2_bus_comparison.txt``
-in the repository root.
+(in the repository root under ``--record-bench``, see
+``conftest.BenchArtifacts``).
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 import time
 
-from conftest import build_variant_platform, record_fig2_results
+from conftest import build_variant_platform
 from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION, bus_levels
 from repro.core import ExperimentOptions, Figure2Experiment, build_report
 from repro.platform import VariantName
-
-RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "figure2_bus_comparison.txt"
 
 #: The >= 5x claim holds with a wide margin on quiet hosts (the committed
 #: figure2_bus_comparison.txt shows >= 20x on the resolved-signal bars);
@@ -158,7 +155,7 @@ def test_transaction_fabric_removes_bus_kernel_work(benchmark):
         < signal_stats["channel_updates"] * 0.5
 
 
-def test_bus_level_comparison_matrix(benchmark):
+def test_bus_level_comparison_matrix(benchmark, bench_artifacts):
     """Representative variants on every bus level, into the report files.
 
     Writes ``figure2_bus_comparison.txt`` (the bus-abstraction rows next
@@ -175,14 +172,14 @@ def test_bus_level_comparison_matrix(benchmark):
     report = build_report(results)
     table = report.format_bus_level_table()
     print("\n" + table + "\n")
-    RESULTS_PATH.write_text(table + "\n")
+    bench_artifacts.write_table("figure2_bus_comparison.txt", table + "\n")
     for result in results:
         benchmark.extra_info[
             f"{result.variant.value}[{result.bus_level}]_cps_khz"] = round(
                 result.cps_khz, 3)
     best = report.best_bus_level_speedup(BUS_FUNCTIONAL)
     benchmark.extra_info["best_functional_speedup"] = round(best, 2)
-    record_fig2_results(results)
+    bench_artifacts.record_fig2_results(results)
     assert set(report.bus_levels_present()) == set(bus_levels())
     # Informational only: single-round wall-clock ratios are too noisy to
     # gate on.  The >= 5x claim is asserted by

@@ -24,15 +24,10 @@ Gates:
 
 from __future__ import annotations
 
-import pathlib
 import time
 
-from conftest import record_cluster_results
 from repro.core import (ExperimentOptions, Figure2Experiment,
                         format_cluster_table)
-
-RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "figure2_cluster_comparison.txt"
 
 OPTIONS = ExperimentOptions(instructions_per_phase=150, phases=2,
                             boot_scale=0.4, chunk_cycles=200)
@@ -56,7 +51,7 @@ GATE_PING_COUNT = 20
 GATE_SPEEDUP = 5.0
 
 
-def test_cluster_comparison_matrix(benchmark):
+def test_cluster_comparison_matrix(benchmark, bench_artifacts):
     """Two-node ping/echo across all twelve seam combinations."""
     experiment = Figure2Experiment(OPTIONS)
 
@@ -68,8 +63,9 @@ def test_cluster_comparison_matrix(benchmark):
                                  warmup_rounds=0)
     table = format_cluster_table(results)
     print("\n" + table + "\n")
-    RESULTS_PATH.write_text(table + "\n")
-    record_cluster_results(results)
+    bench_artifacts.write_table("figure2_cluster_comparison.txt",
+                                table + "\n")
+    bench_artifacts.record_cluster_results(results)
     for result in results:
         benchmark.extra_info[f"{result.key}_cps_khz"] = round(
             result.cps_khz, 3)

@@ -16,25 +16,22 @@ CPU-time windows, exactly like the engine and bus ablations.
 
 The measured matrix is recorded into ``BENCH_fig2.json`` (keyed
 variant/engine/bus level/cpu level) and rendered into
-``figure2_cpu_comparison.txt`` in the repository root.
+``figure2_cpu_comparison.txt`` (in the repository root under
+``--record-bench``, see ``conftest.BenchArtifacts``).
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 import time
 
-from conftest import build_variant_platform, record_fig2_results
+from conftest import build_variant_platform
 from repro.bus import BUS_FUNCTIONAL
 from repro.core import ExperimentOptions, Figure2Experiment, build_report
 from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels
 from repro.kernel import ENGINE_CLOCKED, ENGINE_GENERIC
 from repro.platform import (VanillaNetPlatform, VariantName, variant_config)
 from repro.software import BootParams, build_boot_program
-
-RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "figure2_cpu_comparison.txt"
 
 #: The >= 10x claim holds with margin on quiet hosts (local measurements
 #: on the checksum workload read ~11x on the clocked engine); the local
@@ -177,7 +174,7 @@ def test_quantum_identity_on_generic_engine(benchmark):
         f"engine ({ratio:.2f}x)"
 
 
-def test_cpu_level_comparison_matrix(benchmark):
+def test_cpu_level_comparison_matrix(benchmark, bench_artifacts):
     """Representative variants on both CPU levels, into the report files.
 
     Writes ``figure2_cpu_comparison.txt`` (the CPU-abstraction rows next
@@ -195,14 +192,14 @@ def test_cpu_level_comparison_matrix(benchmark):
     report = build_report(results)
     table = report.format_cpu_level_table()
     print("\n" + table + "\n")
-    RESULTS_PATH.write_text(table + "\n")
+    bench_artifacts.write_table("figure2_cpu_comparison.txt", table + "\n")
     for result in results:
         benchmark.extra_info[
             f"{result.variant.value}[{result.cpu_level}]_cps_khz"] = round(
                 result.cps_khz, 3)
     best = report.best_cpu_level_speedup(CPU_QUANTUM)
     benchmark.extra_info["best_quantum_speedup"] = round(best, 2)
-    record_fig2_results(results)
+    bench_artifacts.record_fig2_results(results)
     assert set(report.cpu_levels_present()) == set(cpu_levels())
     # Informational only: single-round wall-clock ratios over the small
     # table workload are too noisy to gate on.  The >= 10x claim is

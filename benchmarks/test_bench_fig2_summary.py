@@ -2,30 +2,25 @@
 
 Runs the full experiment harness over every Figure 2 configuration (RTL
 baseline plus the ten SystemC-style variants), prints the reproduced table
-next to the paper's numbers, writes it to ``figure2_reproduction.txt`` in
-the repository root, and asserts the paper's qualitative claims (the "shape
-checks"): SystemC is orders of magnitude faster than RTL, native data types
-are the big cycle-accurate win, the later cycle-accurate tweaks are small,
-the dispatcher steps cut boot time, and kernel-function capture roughly
-halves it again.
+next to the paper's numbers, writes it to ``figure2_reproduction.txt`` (in
+the repository root under ``--record-bench``), and asserts the paper's
+qualitative claims (the "shape checks"): SystemC is orders of magnitude
+faster than RTL, native data types are the big cycle-accurate win, the
+later cycle-accurate tweaks are small, the dispatcher steps cut boot time,
+and kernel-function capture roughly halves it again.
 """
 
 from __future__ import annotations
 
-import pathlib
 import time
 
-from conftest import (BENCH_FIG2_PATH, BENCH_FIG2_SCHEMA, load_fig2_results,
-                      record_fig2_results)
+from conftest import BENCH_FIG2_SCHEMA
 from repro.bus import BUS_SIGNAL, bus_levels
 from repro.core import ExperimentOptions, Figure2Experiment, build_report
 from repro.iss import CPU_CYCLE, cpu_levels
 from repro.kernel import engine_kinds
 from repro.platform import VanillaNetPlatform, VariantName, variant_config
 from repro.software import build_boot_program
-
-RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "figure2_reproduction.txt"
 
 OPTIONS = ExperimentOptions(instructions_per_phase=200, phases=3,
                             rtl_cycles_per_phase=800, boot_scale=0.4,
@@ -71,7 +66,7 @@ def _tracing_slowdown_interleaved(rounds: int = 4,
     return best[VariantName.INITIAL] / best[VariantName.INITIAL_TRACE]
 
 
-def test_figure2_full_reproduction(benchmark):
+def test_figure2_full_reproduction(benchmark, bench_artifacts):
     """Measure every Figure 2 configuration and check the paper's claims."""
     experiment = Figure2Experiment(OPTIONS)
 
@@ -100,7 +95,7 @@ def test_figure2_full_reproduction(benchmark):
         "shape checks:",
         *[f"  - {name}: {'PASS' if ok else 'FAIL'}"
           for name, ok in checks.items()], ""])
-    RESULTS_PATH.write_text(output)
+    bench_artifacts.write_table("figure2_reproduction.txt", output)
     print("\n" + output)
 
     for result in results:
@@ -119,7 +114,7 @@ def test_figure2_full_reproduction(benchmark):
     # incomparable measurements under the same keys.
 
 
-def test_engine_comparison_matrix(benchmark):
+def test_engine_comparison_matrix(benchmark, bench_artifacts):
     """Every Figure 2 variant on every engine, into ``BENCH_fig2.json``.
 
     The extended ablation: the same models, workloads and measurement
@@ -138,22 +133,22 @@ def test_engine_comparison_matrix(benchmark):
     report = build_report(results)
     table = report.format_engine_table()
     print("\n" + table + "\n")
-    (RESULTS_PATH.parent / "figure2_engine_comparison.txt").write_text(
-        table + "\n")
+    bench_artifacts.write_table("figure2_engine_comparison.txt",
+                                table + "\n")
     for result in results:
         benchmark.extra_info[
             f"{result.variant.value}[{result.engine}]_cps_khz"] = round(
                 result.cps_khz, 3)
     best = report.best_engine_speedup()
     benchmark.extra_info["best_clocked_speedup"] = round(best, 2)
-    record_fig2_results(results)
+    bench_artifacts.record_fig2_results(results)
     # Informational only: single-round wall-clock ratios are too noisy to
     # gate on.  The >= 1.3x claim is asserted by test_bench_engines.py,
     # which measures with interleaved best-of windows and a retry.
     assert best > 0.0
 
 
-def test_bench_fig2_json_schema_complete():
+def test_bench_fig2_json_schema_complete(bench_artifacts):
     """``BENCH_fig2.json`` covers every variant on every engine.
 
     Runs after the matrix benchmark above (pytest executes tests in file
@@ -164,9 +159,9 @@ def test_bench_fig2_json_schema_complete():
     rows and the CPU-level benchmark (test_bench_cpu_levels.py) adds
     quantum rows for their measured subsets.
     """
-    assert BENCH_FIG2_PATH.exists(), \
+    assert bench_artifacts.fig2_path.exists(), \
         "BENCH_fig2.json missing; run the fig2 benchmarks first"
-    document = load_fig2_results()
+    document = bench_artifacts.load_fig2_results()
     assert document["schema"] == BENCH_FIG2_SCHEMA
     entries = document["entries"]
     missing = []

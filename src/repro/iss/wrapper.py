@@ -41,6 +41,7 @@ from ..kernel.errors import ModelError
 from ..kernel.module import Module
 from ..kernel.engine import SimulationEngine
 from ..peripherals.dispatcher import MemoryDispatcher
+from ..peripherals.memory import PAGE_MASK, PAGE_SHIFT
 from ..signals import Signal
 from .core import MicroBlazeCore
 from .interception import KernelFunctionInterceptor
@@ -614,29 +615,33 @@ class MicroBlazeWrapper(Module, SimComponent):
         # Operand fields are 5 bits (always in range) and r0 writes are
         # guarded below, so the list replaces the checked accessors.
         reg_values = core.regs._regs
-        # Hoisted routing bounds and backing stores: neither moves during
-        # a warp, so the claims/serves checks reduce to two integer
-        # comparisons each and the accesses to bytearray slices.
+        # Hoisted routing bounds and backing-store pages: neither moves
+        # during a warp, so the claims/serves checks reduce to two integer
+        # comparisons each and the accesses to one page slice.  A store
+        # into a page that is still the shared fill page materialises it
+        # first (``writable_page``).
         bram = lmb.bram if lmb is not None else None
         bram_lo = bram_end = 0
-        bram_data = None
+        bram_pages = bram_fill = None
         bram_writable = False
         if bram is not None:
             bram_lo = bram.base_address
             bram_end = bram_lo + bram.size
-            bram_data = bram._data
+            bram_pages, bram_fill = bram.direct_pages()
             bram_writable = not bram.read_only
         disp_main = None
         main_lo = main_end = 0
-        main_data = None
+        main_pages = main_fill = None
         main_writable = False
         if dispatcher is not None and dispatcher.handle_main_memory:
             disp_main = dispatcher.main_memory
             if disp_main is not None:
                 main_lo = disp_main.base_address
                 main_end = main_lo + disp_main.size
-                main_data = disp_main._data
+                main_pages, main_fill = disp_main.direct_pages()
                 main_writable = not disp_main.read_only
+        page_shift = PAGE_SHIFT
+        page_mask = PAGE_MASK
         # ---- straight-line execution ----------------------------------
         # ``cycles`` counts warp-relative charged cycles across sub-bursts,
         # ``charged`` how many of them have already been paid to the kernel
@@ -749,16 +754,20 @@ class MicroBlazeWrapper(Module, SimComponent):
                             lmb.reads += 1
                             bram.read_accesses += 1
                             offset = address - bram_lo
+                            start = offset & page_mask
                             value = int.from_bytes(
-                                bram_data[offset:offset + size], "big")
+                                bram_pages[offset >> page_shift][
+                                    start:start + size], "big")
                             data_cycles = LMB_ACCESS_CYCLES
                         elif disp_main is not None and main_lo <= address \
                                 and address + size <= main_end:
                             dispatcher.data_accesses += 1
                             disp_main.read_accesses += 1
                             offset = address - main_lo
+                            start = offset & page_mask
                             value = int.from_bytes(
-                                main_data[offset:offset + size], "big")
+                                main_pages[offset >> page_shift][
+                                    start:start + size], "big")
                             data_cycles = DISPATCHER_ACCESS_CYCLES
                         else:
                             served = transport.direct_read(DATA_MASTER,
@@ -793,7 +802,12 @@ class MicroBlazeWrapper(Module, SimComponent):
                             lmb.writes += 1
                             bram.write_accesses += 1
                             offset = address - bram_lo
-                            bram_data[offset:offset + size] = value.to_bytes(
+                            page = bram_pages[offset >> page_shift]
+                            if page is bram_fill:
+                                page = bram.writable_page(
+                                    offset >> page_shift)
+                            start = offset & page_mask
+                            page[start:start + size] = value.to_bytes(
                                 size, "big")
                             data_cycles = LMB_ACCESS_CYCLES
                         elif disp_main is not None and main_lo <= address \
@@ -803,7 +817,12 @@ class MicroBlazeWrapper(Module, SimComponent):
                             dispatcher.data_accesses += 1
                             disp_main.write_accesses += 1
                             offset = address - main_lo
-                            main_data[offset:offset + size] = value.to_bytes(
+                            page = main_pages[offset >> page_shift]
+                            if page is main_fill:
+                                page = disp_main.writable_page(
+                                    offset >> page_shift)
+                            start = offset & page_mask
+                            page[start:start + size] = value.to_bytes(
                                 size, "big")
                             data_cycles = DISPATCHER_ACCESS_CYCLES
                         else:

@@ -15,6 +15,8 @@ The contract under test (:mod:`repro.platform.cluster`):
   in-flight frames, with restore resetting the shared kernel only once.
 """
 
+import gc
+import os
 import pickle
 
 import pytest
@@ -224,6 +226,30 @@ class TestPingEcho:
         single = VanillaNetPlatform(variant_config(VariantName.NATIVE_TYPES))
         assert single.ethernet.link is None
         assert cluster.nodes[0].ethernet.link is cluster.link
+
+
+def resident_bytes() -> int:
+    """This process's resident set size, from ``/proc/self/statm``."""
+    with open("/proc/self/statm") as statm:
+        resident_pages = int(statm.read().split()[1])
+    return resident_pages * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestClusterMemory:
+    #: Memories are sparse, so a node costs what its software touches,
+    #: not its 68 MB of address space.
+    RSS_BUDGET_BYTES = 64 << 20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_sixteen_node_cluster_fits_rss_budget(self):
+        gc.collect()
+        before = resident_bytes()
+        cluster = build_cluster(16)
+        grown = resident_bytes() - before
+        assert len(cluster.nodes) == 16
+        assert grown < self.RSS_BUDGET_BYTES, \
+            f"16-node cluster grew RSS by {grown / 2**20:.1f} MB"
 
 
 class TestClusterSnapshots:

@@ -61,6 +61,7 @@ def run_to_halt(platform: VanillaNetPlatform) -> dict:
         "sim_cycles": platform.cycle_count,
         "console": platform.console_output,
         "registers": platform.architectural_state(),
+        "memory": platform.memory_map.contents_digest(),
     }
 
 
@@ -123,7 +124,7 @@ class TestCrossLevelIdentity:
                 f"{variant.value} on the quantum level did not reach _halt"
 
     @pytest.mark.parametrize("aspect", ["instructions", "console",
-                                        "registers"])
+                                        "registers", "memory"])
     def test_architectural_identity(self, level_runs, aspect):
         for variant in all_systemc_variants():
             reference = level_runs[variant, CPU_CYCLE][aspect]
@@ -238,6 +239,7 @@ _halt:
             assert state["r3"] == self.EXPECTED_R3
             results[level] = {
                 "registers": state,
+                "memory": platform.memory_map.contents_digest(),
                 "instructions": platform.statistics.instructions_retired,
                 "sim_cycles": platform.cycle_count,
             }
@@ -283,6 +285,7 @@ class TestQuantumBoundarySemantics:
             assert finished
             results[level] = {
                 "registers": platform.architectural_state(),
+                "memory": platform.memory_map.contents_digest(),
                 "instructions": platform.statistics.instructions_retired,
                 "sim_cycles": platform.cycle_count,
                 "interrupts": platform.statistics.interrupts_taken,
@@ -305,6 +308,8 @@ class TestQuantumBoundarySemantics:
                 == quantum.statistics.instructions_retired
             assert cycle.cycle_count == quantum.cycle_count
             assert cycle.console_output == quantum.console_output
+            assert cycle.memory_map.contents_digest() \
+                == quantum.memory_map.contents_digest()
 
     def test_small_quantum_still_identical(self):
         """A quantum size that never divides the workload's run lengths."""
@@ -343,6 +348,7 @@ class TestQuantumBoundarySemantics:
             results[level] = {
                 "console": platform.console_output,
                 "registers": platform.architectural_state(),
+                "memory": platform.memory_map.contents_digest(),
                 "sim_cycles": platform.cycle_count,
             }
         assert results[CPU_CYCLE] == results[CPU_QUANTUM]

@@ -73,6 +73,7 @@ def observe_platform(platform) -> dict:
     """Everything the identity claim quantifies over, single node."""
     return {
         "registers": platform.architectural_state(),
+        "memory": platform.memory_map.contents_digest(),
         "console": platform.console_output,
         "instructions": platform.statistics.instructions_retired,
         "cycles": platform.statistics.cycles,
@@ -83,6 +84,8 @@ def observe_platform(platform) -> dict:
 def observe_cluster(cluster) -> dict:
     return {
         "states": cluster.architectural_states(),
+        "memories": [node.memory_map.contents_digest()
+                     for node in cluster.nodes],
         "consoles": cluster.console_outputs(),
         "sim_cycles": cluster.cycle_count,
         "frames_switched": cluster.link.frames_switched,

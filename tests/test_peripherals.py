@@ -1,11 +1,14 @@
 """Unit tests for the peripherals, memory models and the dispatcher."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.errors import AddressError, AlignmentError
 from repro.peripherals import (ConsoleSink, MemoryDispatcher, MemoryMap,
                                MemoryStorage)
+from repro.peripherals.memory import PAGE_SIZE
 from repro.platform import ModelConfig, VanillaNetPlatform, memory_map as mm
 from repro.signals import DataMode
 from repro.software import hello_program
@@ -70,6 +73,90 @@ class TestMemoryStorage:
         aligned = offset & ~0x3
         memory.write_word(aligned, value)
         assert memory.read_word(aligned) == value
+
+    def test_dump_rejects_range_past_the_end(self):
+        memory = MemoryStorage("ram", 0, 16)
+        with pytest.raises(AddressError):
+            memory.dump(8, 100)
+        with pytest.raises(AddressError):
+            memory.dump(8, -1)
+        assert memory.dump(8, 8) == bytes(8)
+        assert memory.dump(16 - 1, 0) == b""
+
+
+class TestMemoryPaging:
+    """The sparse page store behind :class:`MemoryStorage`."""
+
+    def test_untouched_reads_return_the_fill_byte(self):
+        for fill in (0x00, 0xA5):
+            memory = MemoryStorage("ram", 0x1000, 3 * PAGE_SIZE, fill=fill)
+            assert memory.read_byte(0x1000 + PAGE_SIZE + 7) == fill
+            assert memory.read_word(0x1000 + 2 * PAGE_SIZE) \
+                == int.from_bytes(bytes([fill]) * 4, "big")
+            assert memory.dump(0x1000, 3 * PAGE_SIZE) \
+                == bytes([fill]) * (3 * PAGE_SIZE)
+            assert memory.capture_state()["pages"] == {}
+
+    def test_load_and_dump_across_a_page_boundary(self):
+        memory = MemoryStorage("ram", 0, 3 * PAGE_SIZE, fill=0xEE)
+        image = bytes(range(256)) * 2
+        address = PAGE_SIZE - 100
+        memory.load_bytes(address, image)
+        assert memory.dump(address, len(image)) == image
+        assert memory.dump(address - 4, 4) == b"\xEE" * 4
+        assert memory.read_byte(PAGE_SIZE) == image[100]
+        assert memory.read_word(PAGE_SIZE - 4) \
+            == int.from_bytes(image[96:100], "big")
+        assert sorted(memory.capture_state()["pages"]) == [0, 1]
+
+    def test_read_only_store_rejects_writes_without_materialising(self):
+        flash = MemoryStorage("flash", 0, 2 * PAGE_SIZE, read_only=True,
+                              fill=0xFF)
+        with pytest.raises(AddressError):
+            flash.write_word(PAGE_SIZE, 0)
+        with pytest.raises(AddressError):
+            flash.load_bytes(0, b"\x00", force=False)
+        assert flash.capture_state()["pages"] == {}
+        assert flash.read_word(PAGE_SIZE) == 0xFFFF_FFFF
+
+    def test_restore_returns_later_pages_to_fill(self):
+        memory = MemoryStorage("ram", 0, 4 * PAGE_SIZE, fill=0x5A)
+        memory.write_word(0, 0x11223344)
+        state = memory.capture_state()
+        memory.write_word(0, 0)
+        memory.write_word(3 * PAGE_SIZE, 0xCAFEF00D)
+        memory.restore_state(state)
+        assert memory.capture_state() == state
+        assert memory.read_word(0) == 0x11223344
+        assert memory.read_word(3 * PAGE_SIZE) == 0x5A5A5A5A
+
+    def test_restoring_a_pickled_copy_gives_identical_contents(self):
+        source = MemoryStorage("ram", 0, 4 * PAGE_SIZE)
+        source.load_bytes(PAGE_SIZE - 2, b"\x01\x02\x03\x04")
+        source.write_word(3 * PAGE_SIZE + 8, 0xDEADBEEF)
+        target = MemoryStorage("ram", 0, 4 * PAGE_SIZE)
+        target.write_word(2 * PAGE_SIZE, 0x12345678)
+        target.restore_state(pickle.loads(pickle.dumps(
+            source.capture_state())))
+        assert target.dump(0, 4 * PAGE_SIZE) == source.dump(0, 4 * PAGE_SIZE)
+        assert target.capture_state() == source.capture_state()
+
+    def test_direct_pages_see_materialised_pages(self):
+        memory = MemoryStorage("ram", 0, 2 * PAGE_SIZE)
+        pages, fill_page = memory.direct_pages()
+        assert pages[1] is fill_page
+        page = memory.writable_page(1)
+        assert memory.writable_page(1) is page
+        assert pages[1] is page and pages[0] is fill_page
+        page[4:8] = b"\x01\x02\x03\x04"
+        assert memory.read_word(PAGE_SIZE + 4) == 0x01020304
+
+    def test_restore_with_another_fill_byte(self):
+        source = MemoryStorage("ram", 0, 2 * PAGE_SIZE, fill=0xFF)
+        source.write_byte(5, 0)
+        target = MemoryStorage("ram", 0, 2 * PAGE_SIZE)
+        target.restore_state(source.capture_state())
+        assert target.dump(0, 2 * PAGE_SIZE) == source.dump(0, 2 * PAGE_SIZE)
 
 
 class TestMemoryMap:

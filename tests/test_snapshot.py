@@ -22,7 +22,9 @@ from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION
 from repro.iss import CPU_CYCLE, CPU_QUANTUM
 from repro.kernel import (ENGINE_CLOCKED, ENGINE_GENERIC, KernelError,
                           ModelError)
-from repro.platform import (VanillaNetPlatform, VariantName, variant_config)
+from repro.core import ExperimentOptions
+from repro.platform import (VanillaNetPlatform, VariantName,
+                            all_systemc_variants, variant_config)
 from repro.software import BootParams, build_boot_program
 
 SMALL_BOOT = BootParams(bss_bytes=32, kernel_copy_bytes=48,
@@ -162,6 +164,30 @@ class TestSnapshotIsolation:
         baseline = build_platform()
         baseline.run_instructions(WARM, chunk_cycles=200)
         assert run_post(observed) == run_post(baseline)
+
+
+class TestSnapshotSize:
+    """Snapshots carry only written memory pages, not whole backing
+    stores: every family's warm-start snapshot stays small to pickle,
+    ship to sweep workers and restore."""
+
+    LIMIT_BYTES = 1 << 20
+
+    @pytest.mark.parametrize("variant", all_systemc_variants(),
+                             ids=lambda variant: variant.value)
+    def test_family_snapshot_under_limit(self, variant):
+        # A sweep family boot (core/sweep.py) at the defaults of
+        # examples/figure2_sweep.py: boot scale 0.4, 250 warm-up
+        # instructions.
+        options = ExperimentOptions(boot_scale=0.4, warmup_instructions=250)
+        platform = VanillaNetPlatform(variant_config(variant))
+        platform.load_program(build_boot_program(options.boot_params()))
+        platform.run_instructions(options.warmup_instructions,
+                                  chunk_cycles=options.chunk_cycles)
+        blob = pickle.dumps(platform.save_snapshot(variant=variant.value),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < self.LIMIT_BYTES, \
+            f"{variant.value}: snapshot pickles to {len(blob):,} bytes"
 
 
 class TestTraceIdentity:
