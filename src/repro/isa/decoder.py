@@ -242,14 +242,11 @@ class DecodedEntry:
     operands already resolved (the only form in which the ISS executes
     instructions), and everything the per-instruction hot path
     would otherwise recompute (mnemonic string, profile function name,
-    memory-access classification).  Entries link forward into basic blocks
-    through ``next_entry`` so straight-line code executes without even a
-    dictionary lookup; the link carries the successor's ``pc`` guard, so a
-    stale link can never execute the wrong location.
+    memory-access classification).
 
     ``valid`` flips to False when a store overwrites the cached word
-    (self-modifying code) -- consumers must check it before executing a
-    chained entry.  ``fetch_cycles``/``fetch_epoch`` let the
+    (self-modifying code); the core then also drops every superblock in
+    ``blocks``.  ``fetch_cycles``/``fetch_epoch`` let the
     temporally-decoupled wrapper reuse the protocol cycle annotation of
     the first fetch while the fetch routing (dispatcher toggles) is
     unchanged.
@@ -257,8 +254,8 @@ class DecodedEntry:
 
     __slots__ = ("pc", "word", "instruction", "mnemonic", "execute",
                  "function_name", "is_load", "is_store", "is_imm",
-                 "access_size", "delay_slot", "valid", "next_entry",
-                 "fetch_cycles", "fetch_epoch", "falls_through", "block",
+                 "access_size", "delay_slot", "valid", "fetch_cycles",
+                 "fetch_epoch", "falls_through", "block", "blocks", "heat",
                  "ea", "rd", "prefix", "prefixed_execute", "prefixed_ea")
 
     def __init__(self, pc: int, word: int, instruction: Instruction,
@@ -275,15 +272,18 @@ class DecodedEntry:
         self.access_size = instruction.access_size
         self.delay_slot = instruction.delay_slot
         self.valid = True
-        self.next_entry: Optional["DecodedEntry"] = None
         self.fetch_cycles = -1
         self.fetch_epoch = -1
         #: True when executing can only advance the PC by 4: no branch,
         #: no IMM prefix, no memory access, no PC-reading special move.
         #: Set by the core from its semantics families.
         self.falls_through = False
-        #: Cached straight-line block starting here (built by the wrapper).
+        #: The superblock headed here, once built (repro.iss.superblock).
         self.block = None
+        #: Every superblock built over this entry (dropped with it).
+        self.blocks: tuple = ()
+        #: Arrivals at this entry as a would-be block head, until built.
+        self.heat = 0
         #: Precompiled effective-address closure (loads/stores only; valid
         #: while no IMM prefix is active).  Set by the core.
         self.ea = None

@@ -4,8 +4,9 @@ The core is a *functional* model: it executes instructions against
 abstract ``fetch`` / ``load`` / ``store`` callbacks and knows nothing about
 buses or simulation time.  Every instruction executes as a
 :class:`~repro.isa.decoder.DecodedEntry`: the word at a program address,
-compiled once into a closure by :meth:`MicroBlazeCore._specialise`, the
-ISS's single table of instruction semantics.  :meth:`MicroBlazeCore.step`
+compiled once into a closure generated from
+:meth:`MicroBlazeCore._specialise`, the ISS's single table of instruction
+semantics.  :meth:`MicroBlazeCore.step`
 is the self-contained single step (interrupt check, fetch, entry,
 execute); the SystemC-style wrapper (:mod:`repro.iss.wrapper`) instead
 fetches and pre-executes data accesses over pin/cycle-accurate OPB
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from string import Template
 from typing import Callable, Optional
 
-from ..datatypes import WORD_MASK, get_field, mask, sign_extend, to_signed
+from ..datatypes import WORD_MASK, get_field, mask, sign_extend
 from ..kernel.component import SimComponent
 from ..kernel.errors import ModelError
 from ..isa import encoding as enc
@@ -68,10 +70,81 @@ _FAMILIES = {
 #: Families whose instructions always fall straight through to pc+4: no
 #: branch, no IMM prefix, no memory access and no PC-reading special move
 #: (``mfs`` can read the PC, so it is deliberately absent).  Such entries
-#: may join basic blocks.
+#: are a superblock's ALU entries.
 _FALLTHROUGH_FAMILIES = frozenset((
     "add", "rsub", "cmp", "logic", "mul", "idiv", "barrel_shift",
     "shift_one", "sext"))
+
+#: Families whose fragments leave a branch target in ``target``.
+_BRANCH_FAMILIES = frozenset(("branch", "cond_branch", "return"))
+
+#: Operand spellings of a per-entry closure: parameters of its factory.
+_CLOSURE_FIELDS = {"ra": "ra", "rb": "rb", "rd": "rd", "imm": "imm",
+                   "raw": "raw", "pc": "core.pc"}
+
+#: Process-wide memo: generated source text -> the ``make`` factory its
+#: compiled code object defines.  Fresh cores, platforms, fan-out cells
+#: and restores reuse it, so no text is compiled twice per process.
+_GENERATED: dict[str, Callable] = {}
+
+
+def generated_factory(source: str) -> Callable:
+    """The ``make`` function defined by ``source``, compiled once."""
+    factory = _GENERATED.get(source)
+    if factory is None:
+        namespace = {"__name__": __name__, "ModelError": ModelError}
+        exec(compile(source, "<iss-generated>", "exec"), namespace)
+        factory = _GENERATED[source] = namespace["make"]
+    return factory
+
+
+def generated_sources() -> int:
+    """How many distinct source texts this process has compiled."""
+    return len(_GENERATED)
+
+
+def _effective_address(instruction: Instruction) -> str:
+    """Source of the load/store address (operand fields as in
+    :meth:`MicroBlazeCore._specialise`)."""
+    if instruction.fmt is enc.Format.TYPE_B:
+        return "(R[$ra] + $imm) & 0xFFFFFFFF"
+    return "(R[$ra] + R[$rb]) & 0xFFFFFFFF"
+
+
+def _indent(text: str, columns: int) -> str:
+    pad = " " * columns
+    return "".join(pad + line + "\n" for line in text.splitlines())
+
+
+#: Closure factories per ``(word, kind)``; ``kind`` is the semantics
+#: family, or ``"ea"`` for a load/store's effective-address closure.
+_ENTRY_FACTORIES: dict[tuple[int, str], Callable] = {}
+
+
+def _closure_source(instruction: Instruction, kind: str) -> str:
+    """Source of the closure factory for ``instruction`` (see
+    :meth:`MicroBlazeCore._compile`)."""
+    access = ""
+    if kind == "ea":
+        body = "return " + _effective_address(instruction) + "\n"
+    else:
+        body = MicroBlazeCore._specialise(instruction, kind)
+        if kind in _BRANCH_FAMILIES:
+            body += "return target\n"
+        size = instruction.access_size
+        if kind == "load":
+            access = (f"value = core.load(address, {size})\n"
+                      "core.stats.loads += 1\n")
+        elif kind == "store":
+            access = (f"core.store(address, value, {size})\n"
+                      "core.stats.stores += 1\n"
+                      "if core._decoded:\n"
+                      f"    core.invalidate_code(address, {size})\n")
+    body = Template(body).substitute(_CLOSURE_FIELDS, access=access)
+    return ("def make(R, msr, core, ra, rb, rd, imm, raw):\n"
+            "    def execute():\n"
+            + _indent(body, 8)
+            + "    return execute\n")
 
 
 @dataclass
@@ -271,11 +344,11 @@ class MicroBlazeCore(SimComponent):
             if symbols is not None else None
         imm = sign_extend(instruction.imm, 16)
         entry = DecodedEntry(pc, word, instruction,
-                             self._specialise(instruction, family, imm),
+                             self._compile(instruction, family, imm),
                              function_name)
         entry.falls_through = family in _FALLTHROUGH_FAMILIES
         if instruction.is_load or instruction.is_store:
-            entry.ea = self._compile_effective_address(instruction, imm)
+            entry.ea = self._compile(instruction, "ea", imm)
         self._decoded[pc] = entry
         self.stats.decoded_entries += 1
         return entry
@@ -283,8 +356,8 @@ class MicroBlazeCore(SimComponent):
     def execute_decoded(self, entry: DecodedEntry) -> bool:
         """Execute and retire ``entry``; returns ``took_branch``.
 
-        Every execution path ends here (the warp's basic-block and
-        load/store fast paths batch the same retire in-line).  The caller
+        Every execution path ends here (the warp's superblocks and
+        load/store fast path batch the same retire in-line).  The caller
         has fetched the entry's word and ruled out a pending interrupt.
         While an IMM prefix is active the entry runs its closure compiled
         for the combined 32-bit immediate instead.
@@ -325,8 +398,8 @@ class MicroBlazeCore(SimComponent):
 
         Called on every executed store (and by the interception layer's
         native writes), keeping the decoded-program cache safe under
-        self-modifying code.  A popped entry is also flagged invalid so
-        basic-block links pointing at it can never execute stale code.
+        self-modifying code.  A dropped entry is flagged invalid, and so
+        is every superblock built over it; other blocks stay valid.
         """
         cache = self._decoded
         if not cache:
@@ -335,18 +408,18 @@ class MicroBlazeCore(SimComponent):
         last = (address + size - 1) & ~3
         entry = cache.pop(first, None)
         if entry is not None:
-            entry.valid = False
+            _drop(entry)
             self.stats.decoded_invalidations += 1
         if last != first:
             entry = cache.pop(last, None)
             if entry is not None:
-                entry.valid = False
+                _drop(entry)
                 self.stats.decoded_invalidations += 1
 
     def clear_decoded_cache(self) -> None:
         """Invalidate the whole decoded-program cache (program reload)."""
         for entry in self._decoded.values():
-            entry.valid = False
+            _drop(entry)
         self._decoded.clear()
 
     def _with_prefix(self, entry: DecodedEntry, prefix: int) -> DecodedEntry:
@@ -358,323 +431,189 @@ class MicroBlazeCore(SimComponent):
         if entry.prefix != prefix:
             instruction = entry.instruction
             imm = ((prefix << 16) | instruction.imm) & WORD_MASK
-            entry.prefixed_execute = self._specialise(
+            entry.prefixed_execute = self._compile(
                 instruction, _FAMILIES[entry.mnemonic], imm)
             if entry.ea is not None:
-                entry.prefixed_ea = self._compile_effective_address(
-                    instruction, imm)
+                entry.prefixed_ea = self._compile(instruction, "ea", imm)
             entry.prefix = prefix
         return entry
 
-    def _compile_effective_address(self, instruction: Instruction,
-                                   imm: int) -> Callable:
-        """A zero-argument closure computing the load/store address.
+    def _compile(self, instruction: Instruction, kind: str,
+                 imm: int) -> Callable:
+        """A zero-argument closure of ``instruction``'s semantics.
 
-        ``imm`` is the resolved operand-B immediate (see
-        :meth:`_specialise`); type-A forms add ``rb`` instead.
+        ``kind`` is the semantics family (the closure returns the branch
+        target when it branches, else None) or ``"ea"`` (it returns the
+        load/store address).  ``imm`` is the resolved operand-B immediate
+        (see :meth:`_specialise`).  Every value that varies between
+        instructions of one template variant is a factory parameter, so
+        all of them share one compiled code object; the factory is
+        memoised per word as well, so each distinct instruction renders
+        its source once.
         """
-        # Index the register list directly: the 5-bit operand fields are
-        # in range by construction, so the bounds check in ``regs.read``
-        # buys nothing here.
-        values = self.regs._regs
-        ra = instruction.ra
-        if instruction.fmt is enc.Format.TYPE_B:
-            def effective_address():
-                return (values[ra] + imm) & WORD_MASK
-        else:
-            rb = instruction.rb
+        key = (instruction.word, kind)
+        factory = _ENTRY_FACTORIES.get(key)
+        if factory is None:
+            factory = _ENTRY_FACTORIES[key] = generated_factory(
+                _closure_source(instruction, kind))
+        return factory(self.regs._regs, self.msr, self, instruction.ra,
+                       instruction.rb, instruction.rd, imm, instruction.imm)
 
-            def effective_address():
-                return (values[ra] + values[rb]) & WORD_MASK
-        return effective_address
+    @staticmethod
+    def _specialise(instruction: Instruction, family: str) -> str:
+        """Python source of ``instruction``'s semantics.
 
-    def _specialise(self, instruction: Instruction, family: str,
-                    imm: int) -> Callable:
-        """Compile ``instruction`` into a zero-argument closure.
-
-        This is the ISS's one table of instruction semantics: every
-        execution path runs these closures.  ``imm`` is the resolved
-        operand-B immediate -- ``sign_extend(imm, 16)``, or the combined
-        32-bit value behind an IMM prefix -- so mnemonic parsing, operand
-        extraction, format checks and the prefix are resolved once, here.
+        This is the ISS's one table of instruction semantics: per-entry
+        closures (:meth:`_compile`) and the quantum warp's superblocks
+        (:mod:`repro.iss.superblock`) are both generated from it.  The
+        fragment works on ``R`` (the register list), ``msr`` and ``core``;
+        branch families leave the branch target (or None) in ``target``.
+        Operands are ``string.Template`` fields -- ``$ra``, ``$rb``,
+        ``$rd``, ``$imm`` (the resolved operand-B immediate:
+        ``sign_extend(imm, 16)`` or the combined 32-bit value behind an IMM
+        prefix), ``$raw`` (the instruction's 16-bit immediate field) and
+        ``$pc`` (the instruction's address) -- which a closure spells as
+        names and a superblock as literals.  Loads and stores leave their
+        memory access to the ``$access`` line: a load's access sets
+        ``value`` from ``address``, a store's writes ``value`` there.
         Families that read their immediate field as a function code
         (barrel-shift amount, special-register number, MSR bits) ignore a
-        prefix.  The closure returns the branch target when it branches
-        and None otherwise.
+        prefix.  Register writes to ``r0`` are guarded out, exactly like
+        ``RegisterFile.write``.
         """
-        regs = self.regs
-        msr = self.msr
         mnemonic = instruction.mnemonic
         fmt_b = instruction.fmt is enc.Format.TYPE_B
-        ra = instruction.ra
-        rb = instruction.rb
-        rd = instruction.rd
-
-        # The hottest families index the register list directly (operand
-        # fields are 5 bits, always in range; ``rd == 0`` writes are
-        # discarded by the hoisted guard exactly like ``regs.write``).
-        values = regs._regs
+        b = "$imm" if fmt_b else "R[$rb]"
+        signed = "((%s ^ 0x80000000) - 0x80000000)"
 
         if family == "add":
             use_carry = "c" in mnemonic.replace("addi", "add")[3:]
             keep_carry = "k" in mnemonic[3:5]
-            if not use_carry and keep_carry:
-                # addk/addik: pure addition, flags untouched.
-                if fmt_b:
-                    def exec_add():
-                        if rd:
-                            values[rd] = (values[ra] + imm) & WORD_MASK
-                else:
-                    def exec_add():
-                        if rd:
-                            values[rd] = (values[ra] + values[rb]) & WORD_MASK
-                return exec_add
-            if not use_carry:
-                # add/addi: addition plus the carry-out update.
-                if fmt_b:
-                    def exec_add():
-                        total = values[ra] + imm
-                        if rd:
-                            values[rd] = total & WORD_MASK
-                        msr.carry = 1 if total > WORD_MASK else 0
-                else:
-                    def exec_add():
-                        total = values[ra] + values[rb]
-                        if rd:
-                            values[rd] = total & WORD_MASK
-                        msr.carry = 1 if total > WORD_MASK else 0
-                return exec_add
-
-            def exec_add():
-                total = values[ra] + (imm if fmt_b else values[rb]) \
-                    + msr.carry
-                if rd:
-                    values[rd] = total & WORD_MASK
-                if not keep_carry:
-                    msr.carry = 1 if total > WORD_MASK else 0
-            return exec_add
+            carry_in = " + msr.carry" if use_carry else ""
+            return (f"total = R[$ra] + {b}{carry_in}\n"
+                    "if $rd: R[$rd] = total & 0xFFFFFFFF\n"
+                    + ("" if keep_carry else
+                       "msr.carry = 1 if total > 0xFFFFFFFF else 0\n"))
 
         if family == "rsub":
             suffix = mnemonic.replace("rsubi", "rsub")[4:]
-            use_carry = "c" in suffix
-            keep_carry = "k" in suffix
-
-            def exec_rsub():
-                total = (imm if fmt_b else values[rb]) \
-                    + (WORD_MASK ^ values[ra]) \
-                    + (msr.carry if use_carry else 1)
-                regs.write(rd, total)
-                if not keep_carry:
-                    msr.carry = 1 if total > WORD_MASK else 0
-            return exec_rsub
+            carry_in = "msr.carry" if "c" in suffix else "1"
+            return (f"total = {b} + (0xFFFFFFFF ^ R[$ra]) + {carry_in}\n"
+                    "if $rd: R[$rd] = total & 0xFFFFFFFF\n"
+                    + ("" if "k" in suffix else
+                       "msr.carry = 1 if total > 0xFFFFFFFF else 0\n"))
 
         if family == "cmp":
-            signed = mnemonic == "cmp"
-
-            def exec_cmp():
-                a = values[ra]
-                b = values[rb]
-                result = (b - a) & WORD_MASK
-                if signed:
-                    # Signed order on the unsigned encodings: flipping the
-                    # sign bit biases both operands by 2**31.
-                    greater = (a ^ 0x8000_0000) > (b ^ 0x8000_0000)
-                else:
-                    greater = a > b
-                if rd:
-                    values[rd] = (result & 0x7FFF_FFFF) \
-                        | (0x8000_0000 if greater else 0)
-            return exec_cmp
+            # Signed order on the unsigned encodings: flipping the sign bit
+            # biases both operands by 2**31.
+            greater = "(a ^ 0x80000000) > (b ^ 0x80000000)" \
+                if mnemonic == "cmp" else "a > b"
+            return ("a = R[$ra]\n"
+                    "b = R[$rb]\n"
+                    "if $rd: R[$rd] = ((b - a) & 0x7FFFFFFF)"
+                    f" | (0x80000000 if {greater} else 0)\n")
 
         if family == "logic":
             op = mnemonic.rstrip("i") if fmt_b else mnemonic
-
-            def exec_logic():
-                a = values[ra]
-                b = imm if fmt_b else values[rb]
-                if op == "or":
-                    result = a | b
-                elif op == "and":
-                    result = a & b
-                elif op == "xor":
-                    result = a ^ b
-                else:  # andn
-                    result = a & ~b
-                if rd:
-                    values[rd] = result & WORD_MASK
-            return exec_logic
+            result = {"or": f"R[$ra] | {b}", "and": f"R[$ra] & {b}",
+                      "xor": f"R[$ra] ^ {b}", "andn": f"R[$ra] & ~{b}"}[op]
+            return f"if $rd: R[$rd] = ({result}) & 0xFFFFFFFF\n"
 
         if family == "mul":
-            def exec_mul():
-                regs.write(rd, values[ra] * (imm if fmt_b else values[rb]))
-            return exec_mul
+            return f"if $rd: R[$rd] = (R[$ra] * {b}) & 0xFFFFFFFF\n"
 
         if family == "idiv":
-            signed = mnemonic == "idiv"
-
-            def exec_idiv():
-                divisor = values[ra]
-                dividend = values[rb]
-                if divisor == 0:
-                    quotient = 0
-                elif signed:
-                    quotient = int(to_signed(dividend) / to_signed(divisor))
-                else:
-                    quotient = dividend // divisor
-                regs.write(rd, quotient)
-            return exec_idiv
+            quotient = ("int(%s / %s)" % (signed % "R[$rb]",
+                                          signed % "divisor")
+                        if mnemonic == "idiv" else "R[$rb] // divisor")
+            return ("divisor = R[$ra]\n"
+                    f"quotient = {quotient} if divisor else 0\n"
+                    "if $rd: R[$rd] = quotient & 0xFFFFFFFF\n")
 
         if family == "barrel_shift":
             # The immediate form's amount and kind are function bits: an
             # IMM prefix does not reach them.
-            kind = (instruction.imm if fmt_b else instruction.function) & 0x600
-            fixed_amount = instruction.imm & 0x1F
-
-            def exec_barrel_shift():
-                a = values[ra]
-                amount = fixed_amount if fmt_b else values[rb] & 0x1F
-                if kind == enc.BS_SLL:
-                    result = a << amount
-                elif kind == enc.BS_SRA:
-                    result = to_signed(a) >> amount
-                else:
-                    result = a >> amount
-                regs.write(rd, result)
-            return exec_barrel_shift
+            kind = (instruction.imm if fmt_b else instruction.function) \
+                & 0x600
+            amount = "($raw & 0x1F)" if fmt_b else "(R[$rb] & 0x1F)"
+            if kind == enc.BS_SLL:
+                result = f"R[$ra] << {amount}"
+            elif kind == enc.BS_SRA:
+                result = f"{signed % 'R[$ra]'} >> {amount}"
+            else:
+                result = f"R[$ra] >> {amount}"
+            return f"if $rd: R[$rd] = ({result}) & 0xFFFFFFFF\n"
 
         if family == "shift_one":
-            def exec_shift_one():
-                a = values[ra]
-                if mnemonic == "sra":
-                    result = to_signed(a) >> 1
-                elif mnemonic == "srl":
-                    result = a >> 1
-                else:  # src: shift right through carry
-                    result = (a >> 1) | (msr.carry << 31)
-                regs.write(rd, result)
-                msr.carry = a & 1
-            return exec_shift_one
+            result = {"sra": f"{signed % 'a'} >> 1", "srl": "a >> 1",
+                      "src": "(a >> 1) | (msr.carry << 31)"}[mnemonic]
+            return ("a = R[$ra]\n"
+                    f"if $rd: R[$rd] = ({result}) & 0xFFFFFFFF\n"
+                    "msr.carry = a & 1\n")
 
         if family == "sext":
-            bits = 8 if mnemonic == "sext8" else 16
-
-            def exec_sext():
-                regs.write(rd, sign_extend(values[ra] & mask(bits), bits))
-            return exec_sext
+            bits_mask, sign = (0xFF, 0x80) if mnemonic == "sext8" \
+                else (0xFFFF, 0x8000)
+            return (f"if $rd: R[$rd] = (((R[$ra] & {bits_mask:#x}) ^ {sign:#x})"
+                    f" - {sign:#x}) & 0xFFFFFFFF\n")
 
         # Special-register number (mfs/mts) or MSR bit mask (msrset/msrclr).
         imm14 = instruction.imm & 0x3FFF
         if family == "mfs":
-            def exec_mfs():
-                if imm14 == enc.SPR_PC:
-                    value = self.pc
-                elif imm14 == enc.SPR_MSR:
-                    value = msr.value
-                elif imm14 == enc.SPR_EAR:
-                    value = self.ear
-                else:
-                    value = self.esr
-                regs.write(rd, value)
-            return exec_mfs
+            value = {enc.SPR_PC: "$pc", enc.SPR_MSR: "msr.value",
+                     enc.SPR_EAR: "core.ear"}.get(imm14, "core.esr")
+            return f"if $rd: R[$rd] = ({value}) & 0xFFFFFFFF\n"
 
         if family == "mts":
-            def exec_mts():
-                value = values[ra]
-                if imm14 == enc.SPR_MSR:
-                    msr.value = value
-                elif imm14 == enc.SPR_EAR:
-                    self.ear = value
-                elif imm14 == enc.SPR_ESR:
-                    self.esr = value
-                else:
-                    raise ModelError(
-                        f"mts to read-only special register {imm14:#x}")
-            return exec_mts
+            register = {enc.SPR_MSR: "msr.value", enc.SPR_EAR: "core.ear",
+                        enc.SPR_ESR: "core.esr"}.get(imm14)
+            if register is None:
+                return ("raise ModelError("
+                        f"'mts to read-only special register {imm14:#x}')\n")
+            return f"{register} = R[$ra]\n"
 
         if family == "msr_bits":
-            setting = mnemonic == "msrset"
-
-            def exec_msr_bits():
-                old = msr.value
-                msr.value = (old | imm14) if setting else (old & ~imm14)
-                regs.write(rd, old)
-            return exec_msr_bits
+            update = "old | ($raw & 0x3FFF)" if mnemonic == "msrset" \
+                else "old & ~($raw & 0x3FFF)"
+            return ("old = msr.value\n"
+                    f"msr.value = {update}\n"
+                    "if $rd: R[$rd] = old & 0xFFFFFFFF\n")
 
         if family == "branch":
-            absolute = instruction.absolute
-            link = instruction.link
-
-            def exec_branch():
-                pc = self.pc
-                value = imm if fmt_b else values[rb]
-                if link and rd:
-                    values[rd] = pc & WORD_MASK
-                return value if absolute else (pc + value) & WORD_MASK
-            return exec_branch
+            target = b if instruction.absolute \
+                else f"($pc + {b}) & 0xFFFFFFFF"
+            return (f"target = {target}\n"
+                    + ("if $rd: R[$rd] = $pc\n" if instruction.link else ""))
 
         if family == "cond_branch":
-            condition = instruction.condition
-
             # The signed comparisons against zero re-expressed on the
-            # unsigned register value (bit 31 set <=> negative), so the
-            # closure needs no sign conversion at all.
-            def exec_cond_branch():
-                a = values[ra]
-                if condition == "eq":
-                    taken = a == 0
-                elif condition == "ne":
-                    taken = a != 0
-                elif condition == "lt":
-                    taken = a >= 0x8000_0000
-                elif condition == "le":
-                    taken = a == 0 or a >= 0x8000_0000
-                elif condition == "gt":
-                    taken = 0 < a < 0x8000_0000
-                else:  # ge
-                    taken = a < 0x8000_0000
-                if taken:
-                    offset = imm if fmt_b else values[rb]
-                    return (self.pc + offset) & WORD_MASK
-                return None
-            return exec_cond_branch
+            # unsigned register value (bit 31 set <=> negative).
+            taken = {"eq": "a == 0", "ne": "a != 0",
+                     "lt": "a >= 0x80000000",
+                     "le": "a == 0 or a >= 0x80000000",
+                     "gt": "0 < a < 0x80000000",
+                     "ge": "a < 0x80000000"}[instruction.condition]
+            return ("a = R[$ra]\n"
+                    f"target = ($pc + {b}) & 0xFFFFFFFF if {taken} else None\n")
 
         if family == "return":
-            enable_interrupts = mnemonic == "rtid"
-            clear_break = mnemonic == "rtbd"
-
-            def exec_return():
-                if enable_interrupts:
-                    msr.interrupt_enable = True
-                elif clear_break:
-                    msr.break_in_progress = False
-                return (values[ra] + imm) & WORD_MASK
-            return exec_return
+            side_effect = {"rtid": "msr.interrupt_enable = True\n",
+                           "rtbd": "msr.break_in_progress = False\n"}
+            return (side_effect.get(mnemonic, "")
+                    + "target = (R[$ra] + $imm) & 0xFFFFFFFF\n")
 
         if family == "imm":
-            prefix = instruction.imm
+            return "core._imm_prefix = $raw\n"
 
-            def exec_imm():
-                self._imm_prefix = prefix
-            return exec_imm
-
-        size = instruction.access_size
-        value_mask = mask(size * 8)
+        value_mask = mask(instruction.access_size * 8)
         if family == "load":
-            def exec_load():
-                address = (values[ra] + (imm if fmt_b else values[rb])) \
-                    & WORD_MASK
-                regs.write(rd, self.load(address, size) & value_mask)
-                self.stats.loads += 1
-            return exec_load
+            return (f"address = {_effective_address(instruction)}\n"
+                    "${access}"
+                    f"if $rd: R[$rd] = value & {value_mask:#x}\n")
 
-        def exec_store():
-            address = (values[ra] + (imm if fmt_b else values[rb])) \
-                & WORD_MASK
-            self.store(address, values[rd] & value_mask, size)
-            self.stats.stores += 1
-            if self._decoded:
-                self.invalidate_code(address, size)
-        return exec_store
+        return (f"address = {_effective_address(instruction)}\n"
+                f"value = R[$rd] & {value_mask:#x}\n"
+                "${access}")
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
@@ -753,6 +692,13 @@ class MicroBlazeCore(SimComponent):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MicroBlazeCore(pc={self.pc:#010x}, "
                 f"retired={self.stats.instructions_retired})")
+
+
+def _drop(entry: DecodedEntry) -> None:
+    """Flag ``entry`` and every superblock built over it invalid."""
+    entry.valid = False
+    for block in entry.blocks:
+        block.valid = False
 
 
 def _unconnected(*_args):

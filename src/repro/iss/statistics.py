@@ -142,6 +142,22 @@ class ExecutionStatistics:
         self.per_mnemonic.update(other.per_mnemonic)
         self.per_function.update(other.per_function)
 
+    def retired_profile(self) -> dict:
+        """The counters the retired instruction stream alone determines.
+
+        Every execution path -- the per-cycle thread, the quantum warp and
+        its superblocks -- must leave these equal for the same run, which
+        makes them part of the cross-level identity observations.
+        """
+        return {
+            "loads": self.loads,
+            "stores": self.stores,
+            "branches_taken": self.branches_taken,
+            "interrupts_taken": self.interrupts_taken,
+            "per_mnemonic": dict(self.per_mnemonic),
+            "per_function": dict(self.per_function),
+        }
+
     def summary(self) -> dict:
         """A plain-dict summary for reports and benchmarks."""
         return {

@@ -45,6 +45,7 @@ from ..peripherals.memory import PAGE_MASK, PAGE_SHIFT
 from ..signals import Signal
 from .core import MicroBlazeCore
 from .interception import KernelFunctionInterceptor
+from .superblock import direct_env, superblock_at
 
 #: Cycles accounted for vectoring to the interrupt handler.
 INTERRUPT_ENTRY_CYCLES = 2
@@ -66,7 +67,7 @@ _WARP_RETRY = object()
 #: request still latched in the core, any of these ends the warp *before*
 #: executing, so re-enabling interrupts (and the re-taken entry that
 #: follows) replays on the exact per-cycle edge.  None of them is a
-#: fall-through family, so the basic-block fast path never hides one.
+#: superblock member, so a superblock never hides one.
 _IE_SETTING_MNEMONICS = frozenset(("rtid", "mts", "msrset"))
 
 #: CPU abstraction-level selectors (``ModelConfig.cpu_level``), mirroring
@@ -126,51 +127,6 @@ class QuantumContext:
 #: on, so idle warps charge whole sleeps only.
 _IDLE_SLEEP_CYCLES = 64
 
-#: Upper bound on basic-block length; straight-line ALU runs longer than
-#: this are split (keeps per-block budget/horizon checks meaningful).
-_BLOCK_CAP = 64
-
-
-class _BasicBlock:
-    """A straight-line run of fall-through decoded entries.
-
-    Built lazily by the quantum fast path from the ``next_entry`` chain:
-    only entries that cannot branch, touch memory, read the PC or start an
-    IMM prefix participate, and the block is split before the halt address
-    and before any interception-hooked address.  Executing a block is a
-    plain loop over precompiled closures followed by one batched update of
-    the PC, the cycle cost and the statistics counters -- the final
-    architectural state and statistics are exactly what per-instruction
-    execution would have produced.
-    """
-
-    __slots__ = ("executes", "count", "cycles", "end_pc", "last_entry",
-                 "mnemonic_items", "function_items", "epoch", "inval_stamp",
-                 "halt")
-
-    def __init__(self, entries, epoch: int, inval_stamp: int,
-                 halt: int) -> None:
-        self.executes = tuple(entry.execute for entry in entries)
-        self.count = len(entries)
-        self.cycles = sum(entry.fetch_cycles for entry in entries)
-        last = entries[-1]
-        self.end_pc = last.pc + 4
-        self.last_entry = last
-        mnemonics: dict = {}
-        functions: dict = {}
-        for entry in entries:
-            mnemonic = entry.mnemonic
-            mnemonics[mnemonic] = mnemonics.get(mnemonic, 0) + 1
-            name = entry.function_name
-            if name is not None:
-                functions[name] = functions.get(name, 0) + 1
-        self.mnemonic_items = tuple(mnemonics.items())
-        self.function_items = tuple(functions.items())
-        self.epoch = epoch
-        self.inval_stamp = inval_stamp
-        self.halt = halt
-
-
 class MicroBlazeWrapper(Module, SimComponent):
     """Cycle-accurate MicroBlaze: ISS core plus bus interface processes."""
 
@@ -211,6 +167,10 @@ class MicroBlazeWrapper(Module, SimComponent):
         #: Instructions per time quantum when temporally decoupled.
         self.quantum_instructions = 1024
         self._quantum: Optional[QuantumContext] = None
+        #: The direct-memory environment of the last warp
+        #: (:func:`~repro.iss.superblock.direct_env`); superblocks built
+        #: under it stay current while warps keep finding it unchanged.
+        self._block_env: Optional[tuple] = None
         #: Bumped whenever instruction routing may have changed (memory
         #: suppression toggles); stale per-entry fetch timings re-route.
         self._route_epoch = 0
@@ -345,6 +305,12 @@ class MicroBlazeWrapper(Module, SimComponent):
     # -- the execute thread --------------------------------------------------------
     def _execute_thread(self):
         core = self.core
+        # Set when an idle sleep ends re-armed.  The thread then runs in
+        # the timed phase, before this cycle's posedge processes; the
+        # per-cycle body's first fetch consumes that edge, while a warp
+        # would start as if it had passed and finish one cycle late.  So
+        # one instruction runs on the per-cycle body first.
+        woken = False
         while True:
             if self.finished:
                 # Idle until a new budget or halt target re-arms execution.
@@ -357,6 +323,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     yield None
                     if self._quantum_can_engage(quantum):
                         yield from self._quantum_burst(quantum, idle=True)
+                woken = not self.finished
                 continue
             if self._should_stop():
                 self.finished = True
@@ -364,7 +331,9 @@ class MicroBlazeWrapper(Module, SimComponent):
                     self.finish_callback()
                 continue
             quantum = self._quantum
-            if quantum is not None and not quantum.blocked \
+            if woken:
+                woken = False
+            elif quantum is not None and not quantum.blocked \
                     and self._quantum_can_engage(quantum):
                 # The engage probe runs out here so a refused cycle costs
                 # one call, not a generator construction plus unwind.
@@ -608,38 +577,27 @@ class MicroBlazeWrapper(Module, SimComponent):
             split_pcs = interceptor._handlers
             if interceptor.enabled:
                 hooked = split_pcs
-        epoch = self._route_epoch
         stats = core.stats
         per_mnemonic = stats.per_mnemonic
         per_function = stats.per_function
         # Operand fields are 5 bits (always in range) and r0 writes are
         # guarded below, so the list replaces the checked accessors.
         reg_values = core.regs._regs
-        # Hoisted routing bounds and backing-store pages: neither moves
-        # during a warp, so the claims/serves checks reduce to two integer
-        # comparisons each and the accesses to one page slice.  A store
-        # into a page that is still the shared fill page materialises it
-        # first (``writable_page``).
-        bram = lmb.bram if lmb is not None else None
-        bram_lo = bram_end = 0
-        bram_pages = bram_fill = None
-        bram_writable = False
-        if bram is not None:
-            bram_lo = bram.base_address
-            bram_end = bram_lo + bram.size
-            bram_pages, bram_fill = bram.direct_pages()
-            bram_writable = not bram.read_only
-        disp_main = None
-        main_lo = main_end = 0
-        main_pages = main_fill = None
-        main_writable = False
-        if dispatcher is not None and dispatcher.handle_main_memory:
-            disp_main = dispatcher.main_memory
-            if disp_main is not None:
-                main_lo = disp_main.base_address
-                main_end = main_lo + disp_main.size
-                main_pages, main_fill = disp_main.direct_pages()
-                main_writable = not disp_main.read_only
+        decoded = core._decoded
+        # Hoisted routing bounds and backing-store pages: none of them
+        # moves during a warp, so the claims/serves checks reduce to two
+        # integer comparisons each and the accesses to one page slice.  A
+        # store into a page that is still the shared fill page
+        # materialises it first (``writable_page``).  An equal environment
+        # keeps its identity, so superblocks built under it stay current.
+        env = direct_env(self._route_epoch, halt, lmb, dispatcher)
+        if env == self._block_env:
+            env = self._block_env
+        else:
+            self._block_env = env
+        (epoch, _halt, _lmb, bram, bram_pages, bram_fill, bram_lo, bram_end,
+         bram_wend, _dispatcher, disp_main, main_pages, main_fill, main_lo,
+         main_end, main_wend) = env
         page_shift = PAGE_SHIFT
         page_mask = PAGE_MASK
         # ---- straight-line execution ----------------------------------
@@ -650,7 +608,9 @@ class MicroBlazeWrapper(Module, SimComponent):
         cycles = 0
         charged = 0
         executed = 0
-        prev = None
+        # Set after a superblock side exit: the exiting instruction runs
+        # on the per-instruction path below before any block is tried.
+        replay = False
         while True:
             # Per-sub-burst bound: the nearest upcoming break point in
             # warp-relative cycles.  The link horizon only bounds the
@@ -678,18 +638,10 @@ class MicroBlazeWrapper(Module, SimComponent):
                     break
                 if hooked is not None and pc in hooked \
                         and interceptor.maybe_intercept(core) is not None:
-                    prev = None
                     pc = core.pc
                     if pc == halt and core._branch_after_delay is None:
                         break
-                entry = None
-                if prev is not None:
-                    chained = prev.next_entry
-                    if chained is not None and chained.valid \
-                            and chained.pc == pc:
-                        entry = chained
-                if entry is None:
-                    entry = core.decoded_entry(pc)
+                entry = decoded.get(pc)
                 if entry is not None and entry.fetch_epoch == epoch:
                     fetch_cycles = entry.fetch_cycles
                 else:
@@ -707,33 +659,39 @@ class MicroBlazeWrapper(Module, SimComponent):
                     entry = core.fetched_entry(pc, word)
                     entry.fetch_cycles = fetch_cycles
                     entry.fetch_epoch = epoch
-                if prev is not None and prev.next_entry is not entry:
-                    prev.next_entry = entry
-                # ---- basic-block fast path --------------------------------
-                if entry.falls_through and core._imm_prefix is None \
+                # ---- superblock -------------------------------------------
+                if replay:
+                    replay = False
+                elif core._imm_prefix is None \
                         and core._branch_after_delay is None:
                     block = entry.block
-                    if block is None or block.epoch != epoch \
-                            or block.inval_stamp != stats.decoded_invalidations \
-                            or block.halt != halt:
-                        block = self._build_block(core, entry, epoch, halt,
-                                                  split_pcs, stats)
-                    if block is not None \
-                            and executed + block.count <= allowed \
+                    if block is None or block.env is not env \
+                            or not block.valid:
+                        block = superblock_at(core, entry, env, split_pcs)
+                    if block is not None and block.run is not None \
+                            and executed + block.size <= allowed \
                             and (bound is None
-                                 or cycles + block.cycles <= bound):
-                        for execute in block.executes:
-                            execute()
-                        core.pc = block.end_pc
-                        stats.instructions_retired += block.count
-                        for name, count in block.mnemonic_items:
-                            per_mnemonic[name] += count
-                        for name, count in block.function_items:
-                            per_function[name] += count
-                        cycles += block.cycles
-                        executed += block.count
-                        prev = block.last_entry
-                        continue
+                                 or cycles + block.pass_cycles <= bound):
+                        passes = 1
+                        if block.loops:
+                            # As many whole passes as both budgets allow;
+                            # the per-instruction path below finishes a
+                            # partial one.
+                            passes = (allowed - executed) // block.size
+                            if bound is not None:
+                                passes = min(passes, (bound - cycles)
+                                             // block.pass_cycles)
+                        done, k, target, data_cycles = block.run(passes)
+                        retired, spent = block.retire(core, done, k, target,
+                                                      data_cycles)
+                        if retired:
+                            executed += retired
+                            cycles += spent
+                            replay = k < block.size
+                            continue
+                        # No progress: the head itself always exits (a
+                        # device access, say); stop trying this block.
+                        block.run = None
                 # ---- inlined load/store execution -------------------------
                 if entry.is_load or entry.is_store:
                     # The whole data instruction in-line: the precompiled
@@ -749,7 +707,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     if size > 1 and address % size:
                         break
                     if entry.is_load:
-                        if bram is not None and bram_lo <= address \
+                        if bram_lo <= address \
                                 and address + size <= bram_end:
                             lmb.reads += 1
                             bram.read_accesses += 1
@@ -759,7 +717,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                                 bram_pages[offset >> page_shift][
                                     start:start + size], "big")
                             data_cycles = LMB_ACCESS_CYCLES
-                        elif disp_main is not None and main_lo <= address \
+                        elif main_lo <= address \
                                 and address + size <= main_end:
                             dispatcher.data_accesses += 1
                             disp_main.read_accesses += 1
@@ -795,9 +753,9 @@ class MicroBlazeWrapper(Module, SimComponent):
                         stats.loads += 1
                     else:
                         value = reg_values[entry.rd] & _SIZE_MASKS[size]
-                        if bram is not None and bram_lo <= address \
+                        if bram_lo <= address \
                                 and address + size <= bram_end:
-                            if not bram_writable:
+                            if address + size > bram_wend:
                                 break
                             lmb.writes += 1
                             bram.write_accesses += 1
@@ -810,9 +768,9 @@ class MicroBlazeWrapper(Module, SimComponent):
                             page[start:start + size] = value.to_bytes(
                                 size, "big")
                             data_cycles = LMB_ACCESS_CYCLES
-                        elif disp_main is not None and main_lo <= address \
+                        elif main_lo <= address \
                                 and address + size <= main_end:
-                            if not main_writable:
+                            if address + size > main_wend:
                                 break
                             dispatcher.data_accesses += 1
                             disp_main.write_accesses += 1
@@ -862,7 +820,6 @@ class MicroBlazeWrapper(Module, SimComponent):
                         per_function[entry.function_name] += 1
                     cycles += step_cycles
                     executed += 1
-                    prev = entry
                     if self._warp_post is not None:
                         post = self._warp_post
                         self._warp_post = None
@@ -888,7 +845,6 @@ class MicroBlazeWrapper(Module, SimComponent):
                 core.execute_decoded(entry)
                 cycles += fetch_cycles
                 executed += 1
-                prev = entry
             if not flush or cycles == sub_start:
                 # Budget, halt, an unservable access or a non-horizon bound
                 # ends the warp; so does a horizon flush that made no
@@ -1188,39 +1144,6 @@ class MicroBlazeWrapper(Module, SimComponent):
             wake += sleep_ps
         record[4] = wake
         record[5] = True
-
-    def _build_block(self, core, first, epoch: int, halt: int, split_pcs,
-                     stats):
-        """Extend ``first`` into a basic block along its fall-through chain.
-
-        Returns the cached :class:`_BasicBlock`, or ``None`` when the
-        straight-line successor has not been decoded (or re-routed) yet --
-        the block then stays uncached so it can grow on a later pass once
-        per-instruction execution has filled the chain in.
-        """
-        entries = [first]
-        pc = first.pc + 4
-        cur = first
-        while len(entries) < _BLOCK_CAP:
-            nxt = cur.next_entry
-            if nxt is None or not nxt.valid or nxt.pc != pc:
-                nxt = core.decoded_entry(pc)
-                if nxt is None:
-                    return None
-                cur.next_entry = nxt
-            if not nxt.falls_through or pc == halt or pc in split_pcs:
-                break
-            if nxt.fetch_epoch != epoch:
-                # Successor timing not re-routed yet; it will be after the
-                # per-instruction pass that follows, so retry then.
-                return None
-            entries.append(nxt)
-            pc += 4
-            cur = nxt
-        block = _BasicBlock(entries, epoch, stats.decoded_invalidations,
-                            halt)
-        first.block = block
-        return block
 
     # -- routed accesses ---------------------------------------------------------------
     def _fetch(self, address: int):

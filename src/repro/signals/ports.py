@@ -17,6 +17,7 @@ from typing import Generic, Optional, TypeVar
 
 from ..kernel.errors import BindingError
 from ..kernel.events import Event
+from .signal import ResolvedSignal
 
 ValueT = TypeVar("ValueT")
 
@@ -24,13 +25,16 @@ ValueT = TypeVar("ValueT")
 class Port(Generic[ValueT]):
     """Base port: holds the binding to a channel and usage counters."""
 
-    __slots__ = ("name", "_channel", "read_count", "write_count")
+    __slots__ = ("name", "_channel", "_driven", "read_count", "write_count")
 
     direction = "inout"
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._channel = None
+        #: Whether writes pass this port as the channel's driver key (only
+        #: resolved signals take one), decided once at bind time.
+        self._driven = False
         #: Count of read() calls made through this port.
         self.read_count = 0
         #: Count of write() calls made through this port.
@@ -42,6 +46,7 @@ class Port(Generic[ValueT]):
         if self._channel is not None and self._channel is not channel:
             raise BindingError(f"port {self.name!r} is already bound")
         self._channel = channel
+        self._driven = isinstance(channel, ResolvedSignal)
 
     def __call__(self, channel) -> None:
         """SystemC-style binding syntax: ``module.port(signal)``."""
@@ -106,9 +111,9 @@ class OutPort(Port[ValueT]):
         """
         self.write_count += 1
         channel = self.channel
-        try:
+        if self._driven:
             channel.write(value, driver=self)
-        except TypeError:
+        else:
             channel.write(value)
 
 

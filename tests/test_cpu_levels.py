@@ -62,6 +62,7 @@ def run_to_halt(platform: VanillaNetPlatform) -> dict:
         "console": platform.console_output,
         "registers": platform.architectural_state(),
         "memory": platform.memory_map.contents_digest(),
+        "iss": platform.statistics.retired_profile(),
     }
 
 
@@ -124,7 +125,7 @@ class TestCrossLevelIdentity:
                 f"{variant.value} on the quantum level did not reach _halt"
 
     @pytest.mark.parametrize("aspect", ["instructions", "console",
-                                        "registers", "memory"])
+                                        "registers", "memory", "iss"])
     def test_architectural_identity(self, level_runs, aspect):
         for variant in all_systemc_variants():
             reference = level_runs[variant, CPU_CYCLE][aspect]
@@ -242,6 +243,7 @@ _halt:
                 "memory": platform.memory_map.contents_digest(),
                 "instructions": platform.statistics.instructions_retired,
                 "sim_cycles": platform.cycle_count,
+                "iss": platform.statistics.retired_profile(),
             }
             if level == CPU_QUANTUM:
                 assert platform.statistics.decoded_invalidations > 0
@@ -289,6 +291,7 @@ class TestQuantumBoundarySemantics:
                 "instructions": platform.statistics.instructions_retired,
                 "sim_cycles": platform.cycle_count,
                 "interrupts": platform.statistics.interrupts_taken,
+                "iss": platform.statistics.retired_profile(),
             }
             assert results[level]["interrupts"] >= 3
         assert results[CPU_CYCLE] == results[CPU_QUANTUM]
@@ -310,6 +313,8 @@ class TestQuantumBoundarySemantics:
             assert cycle.console_output == quantum.console_output
             assert cycle.memory_map.contents_digest() \
                 == quantum.memory_map.contents_digest()
+            assert cycle.statistics.retired_profile() \
+                == quantum.statistics.retired_profile()
 
     def test_small_quantum_still_identical(self):
         """A quantum size that never divides the workload's run lengths."""
@@ -350,5 +355,6 @@ class TestQuantumBoundarySemantics:
                 "registers": platform.architectural_state(),
                 "memory": platform.memory_map.contents_digest(),
                 "sim_cycles": platform.cycle_count,
+                "iss": platform.statistics.retired_profile(),
             }
         assert results[CPU_CYCLE] == results[CPU_QUANTUM]

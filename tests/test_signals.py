@@ -242,6 +242,32 @@ class TestPorts:
         sim.run()
         assert bus.value.to_string() == "11XX"  # low bits: 0 vs 1 -> X
 
+    def test_channel_error_propagates_once(self):
+        """A TypeError raised by the channel itself is not retried: the
+        write happens (and is counted) exactly once."""
+        sim = Simulator()
+        bus = ResolvedSignal(sim, "bus", width=8)
+        port = OutPort("p")
+        port.bind(bus)
+        with pytest.raises(TypeError):
+            port.write(object())
+        assert bus.write_count == 1
+        assert port.write_count == 1
+
+    def test_native_signal_write_raises_nothing(self):
+        """Writes to a driverless channel call it once, without a driver."""
+        calls = []
+
+        class Channel:
+            def write(self, value):
+                calls.append(value)
+
+        port = OutPort("p")
+        port.bind(Channel())
+        port.write(3)
+        port.write(4)
+        assert calls == [3, 4]
+
     def test_inout_port_reads_and_writes(self):
         sim = Simulator()
         sig = Signal(sim, "s", 5)
